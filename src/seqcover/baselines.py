@@ -11,17 +11,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence as PySequence
 
 from .errors import ConfigurationError
+from .traces import as_symbols
 
 
 class BaselineKind(Enum):
     LEV = "LEV"
     LCSQ = "LCSq"
     LCST = "LCSt"
-
-
-def _syms(s) -> tuple:
-    got = getattr(s, "symbols", None)
-    return got if got is not None else tuple(s)
 
 
 def levenshtein_distance(a: PySequence, b: PySequence) -> int:
@@ -140,7 +136,7 @@ def lev_similarity(s1, s2, norm: str = "max") -> Fraction:
     ``norm='sum'`` divides by |s1| + |s2| instead (looser normalization some
     write-ups use; rankings between fixed sequences are unaffected).
     """
-    a, b = _syms(s1), _syms(s2)
+    a, b = as_symbols(s1), as_symbols(s2)
     if not a and not b:
         return Fraction(1)
     return 1 - Fraction(levenshtein_distance(a, b), _normalizer(len(a), len(b), norm))
@@ -148,7 +144,7 @@ def lev_similarity(s1, s2, norm: str = "max") -> Fraction:
 
 def lcsq_similarity(s1, s2) -> Fraction:
     """LCSq(s1, s2) / max(|s1|, |s2|); 1 for two empties."""
-    a, b = _syms(s1), _syms(s2)
+    a, b = as_symbols(s1), as_symbols(s2)
     if not a and not b:
         return Fraction(1)
     return Fraction(lcsq_length(a, b), max(len(a), len(b)))
@@ -156,7 +152,7 @@ def lcsq_similarity(s1, s2) -> Fraction:
 
 def lcst_similarity(s1, s2) -> Fraction:
     """LCSt(s1, s2) / max(|s1|, |s2|); 1 for two empties."""
-    a, b = _syms(s1), _syms(s2)
+    a, b = as_symbols(s1), as_symbols(s2)
     if not a and not b:
         return Fraction(1)
     return Fraction(lcst_length(a, b), max(len(a), len(b)))

@@ -13,8 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .covering import Covering, greedy_cover, ratio_str
-from .detector import ANOMALY, DetectorConfig, anomaly_score, score_batch
+from .covering import ratio_str
+from .detector import ANOMALY, DetectorConfig, anomaly_score, classify, score_batch
 from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, run_enrichment
 from .errors import ConfigurationError, TraceParseError
 from .evaluation import histogram, roc_curve
@@ -53,22 +53,15 @@ def _load_model(model_dir, one_trace_per: str) -> NormalModel:
     return NormalModel(sequences)
 
 
-def _cover_record(model: NormalModel, trace, variant: str) -> dict:
-    n = len(trace)
-    if n == 0:
-        cover = Covering((), 0)
-        similarity = Fraction(1)
-    else:
-        cover = greedy_cover(model, trace, variant)
-        similarity = Fraction(n - cover.size + 1, n)
+def _cover_record(model: NormalModel, trace) -> dict:
+    scored = classify(model, DetectorConfig(), trace)  # the verdict is not reported
     return {
         "source_id": trace.source_id,
-        "length": n,
-        "variant": variant,
-        "covering_size": cover.size,
-        "segments": [list(seg) for seg in cover.segments],
-        "similarity": ratio_str(similarity),
-        "similarity_decimal": f"{float(similarity):.6f}",
+        "length": len(trace),
+        "covering_size": scored.covering.size,
+        "segments": [list(seg) for seg in scored.covering.segments],
+        "similarity": ratio_str(scored.similarity),
+        "similarity_decimal": f"{float(scored.similarity):.6f}",
     }
 
 
@@ -76,7 +69,7 @@ def cmd_cover(args) -> int:
     model = _load_model(args.model_dir, args.one_trace_per)
     trace_path = Path(args.trace)
     trace = parse_trace(trace_path.read_text(), str(trace_path))
-    record = _cover_record(model, trace, args.variant)
+    record = _cover_record(model, trace)
     line = json.dumps(record)
     print(line)
     if args.out_dir:
@@ -87,28 +80,13 @@ def cmd_cover(args) -> int:
     return 0
 
 
-def _load_batch(traces_path, one_trace_per: str):
-    path = Path(traces_path)
-    if path.is_dir():
-        return load_traces(path, one_trace_per)
-    if path.is_file():
-        if one_trace_per == "line":
-            return [
-                parse_trace(line, f"{path}:{lineno}")
-                for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-                if line.strip()
-            ]
-        return [parse_trace(path.read_text(), str(path))]
-    raise ConfigurationError(f"traces path does not exist: {path}")
-
-
 def cmd_detect(args) -> int:
     model = _load_model(args.model_dir, args.one_trace_per)
-    batch = _load_batch(args.traces, args.one_trace_per)
+    batch = load_traces(args.traces, args.one_trace_per)
     if not batch:
         raise ConfigurationError(f"no traces loaded from {args.traces}")
     config = DetectorConfig(args.sigma)
-    scored = score_batch(model, config, batch, args.variant)
+    scored = score_batch(model, config, batch)
     lines = [json.dumps(item.as_record()) for item in scored]
     for line in lines:
         print(line)
@@ -208,7 +186,6 @@ def cmd_enrich(args) -> int:
     _write_manifest(out_dir, "enrich", args)
     trace = run_enrichment(
         dataset, config,
-        variant=args.variant,
         on_iteration=_iteration_writer(out_dir, args.bins),
     )
     _write_trace_csv(out_dir / "trace.csv", trace)
@@ -249,7 +226,6 @@ def cmd_compare(args) -> int:
         traces[method] = run_enrichment(
             dataset, config,
             method=method,
-            variant=args.variant,
             lev_norm=args.lev_norm,
             time_budget_seconds=args.per_method_budget_seconds,
         )
@@ -310,8 +286,6 @@ def _add_protocol_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     parser.add_argument("--bins", type=int, default=20,
                         help="histogram bin count for per-iteration outputs (default: 20)")
-    parser.add_argument("--variant", choices=["binary", "linear"], default="binary",
-                        help="covering extractor (default: binary)")
     parser.add_argument("--out-dir", required=True, help="output directory")
     _add_trace_format_flag(parser)
 
@@ -327,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cover = commands.add_parser("cover", help="print the optimal covering of one trace")
     cover.add_argument("--model-dir", required=True, help="directory of normal traces")
     cover.add_argument("--trace", required=True, help="trace file to cover")
-    cover.add_argument("--variant", choices=["binary", "linear"], default="binary")
     cover.add_argument("--out-dir", default=None, help="also write covering.json and manifest here")
     _add_trace_format_flag(cover)
     cover.set_defaults(func=cmd_cover)
@@ -337,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--traces", required=True, help="trace file or directory to classify")
     detect.add_argument("--sigma", default="0.97",
                         help="decision threshold in [0,1] (default: 0.97)")
-    detect.add_argument("--variant", choices=["binary", "linear"], default="binary")
     detect.add_argument("--out-dir", default=None, help="also write scores.jsonl and manifest here")
     _add_trace_format_flag(detect)
     detect.set_defaults(func=cmd_detect)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from .covering import Covering, greedy_cover, ratio_str
 from .errors import ConfigurationError
 from .model import NormalModel
-from .traces import Sequence
+from .traces import Sequence, as_symbols
 
 NORMAL = "normal"
 ANOMALY = "anomaly"
@@ -34,6 +34,10 @@ class DetectorConfig:
         if not 0 <= sigma <= 1:
             raise ConfigurationError(f"sigma must lie in [0, 1], got {sigma}")
         object.__setattr__(self, "sigma", sigma)
+
+    def verdict(self, similarity: Fraction) -> str:
+        """NORMAL when similarity >= sigma, else ANOMALY."""
+        return NORMAL if similarity >= self.sigma else ANOMALY
 
 
 @dataclass(frozen=True)
@@ -66,26 +70,19 @@ def anomaly_score(similarity: Fraction) -> Fraction:
     return 1 - similarity
 
 
-def classify(model: NormalModel, config: DetectorConfig, s: Sequence,
-             variant: str = "binary") -> ScoredSequence:
+def classify(model: NormalModel, config: DetectorConfig, s: Sequence) -> ScoredSequence:
     """Cover s against the model, score it, and apply the threshold.
 
     The empty sequence scores 1 by convention (it is a substring of
     anything), with an empty covering attached.
     """
-    n = len(s.symbols) if isinstance(s, Sequence) else len(s)
-    if n == 0:
-        cover = Covering((), 0)
-        similarity = Fraction(1)
-    else:
-        cover = greedy_cover(model, s, variant)
-        similarity = Fraction(n - cover.size + 1, n)
-    verdict = NORMAL if similarity >= config.sigma else ANOMALY
+    symbols = as_symbols(s)
+    cover = greedy_cover(model, symbols) if symbols else Covering((), 0)
+    similarity = cover.similarity
     source_id = getattr(s, "source_id", "")
-    return ScoredSequence(source_id, similarity, cover, verdict)
+    return ScoredSequence(source_id, similarity, cover, config.verdict(similarity))
 
 
-def score_batch(model: NormalModel, config: DetectorConfig, batch,
-                variant: str = "binary") -> list[ScoredSequence]:
+def score_batch(model: NormalModel, config: DetectorConfig, batch) -> list[ScoredSequence]:
     """Element-wise classify, input order preserved."""
-    return [classify(model, config, s, variant) for s in batch]
+    return [classify(model, config, s) for s in batch]

@@ -8,7 +8,7 @@ the stop rule fires, or until the validation pool is exhausted, in which
 case the trace is flagged as truncated.
 
 Only normal data ever enters the model; attacks are scored but never
-selected. Two AUC variants are recorded: over all attacks, and excluding
+selected. The AUC is recorded twice: over all attacks, and excluding
 attacks whose similarity is exactly 1 at that iteration (attacks that are
 verbatim substrings of the training data, which no history-based score can
 separate).
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .baselines import BaselineKind, nearest_similarity_to_set
-from .detector import ANOMALY, NORMAL, DetectorConfig, ScoredSequence, anomaly_score, score_batch
+from .detector import DetectorConfig, ScoredSequence, anomaly_score, score_batch
 from .errors import ConfigurationError
 from .evaluation import auc_from_scores
 from .model import NormalModel
@@ -120,10 +120,10 @@ def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Seq
 
 
 def _make_scorer(method: str, train: list[Sequence], sigma: DetectorConfig,
-                 variant: str, lev_norm: str) -> Callable[[list[Sequence]], list[ScoredSequence]]:
+                 lev_norm: str) -> Callable[[list[Sequence]], list[ScoredSequence]]:
     if method == "SC4ID":
         model = NormalModel(train)
-        return lambda batch: score_batch(model, sigma, batch, variant)
+        return lambda batch: score_batch(model, sigma, batch)
     kind = _BASELINE_BY_METHOD[method]
     reference = list(train)
 
@@ -131,8 +131,7 @@ def _make_scorer(method: str, train: list[Sequence], sigma: DetectorConfig,
         out = []
         for seq in batch:
             similarity = nearest_similarity_to_set(kind, reference, seq, lev_norm=lev_norm)
-            verdict = NORMAL if similarity >= sigma.sigma else ANOMALY
-            out.append(ScoredSequence(seq.source_id, similarity, None, verdict))
+            out.append(ScoredSequence(seq.source_id, similarity, None, sigma.verdict(similarity)))
         return out
 
     return score
@@ -142,7 +141,6 @@ def run_enrichment(
     dataset: Dataset,
     config: EnrichmentConfig,
     method: str = "SC4ID",
-    variant: str = "binary",
     lev_norm: str = "max",
     time_budget_seconds: float | None = None,
     on_iteration: Callable[[EnrichmentRecord, list[ScoredSequence], list[ScoredSequence]], None] | None = None,
@@ -189,7 +187,7 @@ def run_enrichment(
 
         step_started = time.perf_counter()
         train_size = len(train)
-        scorer = _make_scorer(method, train, sigma, variant, lev_norm)
+        scorer = _make_scorer(method, train, sigma, lev_norm)
         scored_pool = scorer(pool)
         scored_attacks = scorer(attacks)
 

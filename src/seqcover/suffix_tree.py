@@ -1,9 +1,10 @@
 """Generalized suffix tree over integer sequences.
 
 Built online (Ukkonen) over the concatenation of the indexed sequences,
-each terminated by a unique negative sentinel. Queries are made of real
-(non-negative) symbols, so a match can never run through a sentinel and
-therefore never spans two indexed sequences. Child edges hang off a dict
+each terminated by a sentinel of its own: a fresh ``object()`` that equals
+nothing but itself. No query symbol can equal a sentinel, so a match can
+never run through one and therefore never spans two indexed sequences,
+whatever values the query holds. Child edges hang off a dict
 keyed by their first symbol, which keeps the construction alphabet-agnostic
 (system-call numbers are unbounded small integers).
 
@@ -17,6 +18,8 @@ The tree answers two questions, both by a single root-to-leaf descent:
 
 from typing import Iterable
 
+from .traces import as_symbols
+
 
 class _Node:
     """Tree node; ``start``/``end`` label the incoming edge (half-open over
@@ -28,17 +31,8 @@ class _Node:
     def __init__(self, start: int, end: int | None):
         self.start = start
         self.end = end
-        self.children: dict[int, "_Node"] = {}
+        self.children: dict[object, "_Node"] = {}
         self.link: "_Node | None" = None
-
-
-def _as_symbols(query) -> tuple[int, ...]:
-    symbols = getattr(query, "symbols", None)
-    if symbols is not None:
-        return symbols
-    if isinstance(query, tuple):
-        return query
-    return tuple(query)
 
 
 class GeneralizedSuffixIndex:
@@ -49,7 +43,7 @@ class GeneralizedSuffixIndex:
     """
 
     def __init__(self, sequences: Iterable = ()):
-        self._data: list[int] = []
+        self._data: list[object] = []  # symbols, a sentinel after each sequence
         self._root = _Node(-1, -1)
         self._active_node = self._root
         self._active_edge = 0
@@ -59,7 +53,7 @@ class GeneralizedSuffixIndex:
         self.sequences = tuple(sequences)
         self.sequence_count = 0
         for seq in self.sequences:
-            self._add(_as_symbols(seq))
+            self._add(as_symbols(seq))
 
     # -- construction -------------------------------------------------
 
@@ -69,7 +63,7 @@ class GeneralizedSuffixIndex:
         for sym in symbols:
             self._extend(sym)
         self.sequence_count += 1
-        self._extend(-self.sequence_count)  # unique sentinel, never queryable
+        self._extend(object())  # unique sentinel, equal to no query symbol
         # The sentinel matches no existing edge, so every pending suffix got
         # its leaf: the active point is back at the root and the leaves of
         # this sequence all end exactly at the current data end.
@@ -77,7 +71,7 @@ class GeneralizedSuffixIndex:
             leaf.end = len(self._data)
         self._open_leaves.clear()
 
-    def _extend(self, sym: int) -> None:
+    def _extend(self, sym: object) -> None:
         data = self._data
         data.append(sym)
         pos = len(data) - 1
@@ -134,7 +128,7 @@ class GeneralizedSuffixIndex:
 
     def contains(self, query) -> bool:
         """True iff the query is a contiguous substring of an indexed sequence."""
-        symbols = _as_symbols(query)
+        symbols = as_symbols(query)
         if not symbols:
             raise ValueError("contains() requires a non-empty query")
         return self.contains_range(symbols, 0, len(symbols))
@@ -172,7 +166,7 @@ class GeneralizedSuffixIndex:
         single symbol is an admissible covering segment even when it never
         occurs in the indexed set.
         """
-        symbols = _as_symbols(s)
+        symbols = as_symbols(s)
         if not 0 <= start < len(symbols):
             raise ValueError(f"start {start} out of range for length {len(symbols)}")
         data = self._data

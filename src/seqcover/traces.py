@@ -3,7 +3,7 @@
 A trace is a plain-text file of whitespace-separated decimal system-call
 numbers. A dataset is up to three directories of traces: normal training,
 normal validation and attacks. Attack traces pick up a category label from
-their immediate subdirectory when the attack directory is nested (the usual
+the subdirectory of the attack directory they sit in (the usual
 public-corpus layout, e.g. Attack_Data_Master/Adduser_1/...).
 """
 
@@ -104,6 +104,18 @@ def parse_trace(text: str, source_id: str = "") -> Sequence:
     return Sequence(tuple(symbols), source_id)
 
 
+def as_symbols(s) -> tuple[int, ...]:
+    """The symbol tuple of a Sequence, a tuple or any iterable of symbols.
+
+    A Sequence or a tuple is returned as it is, so calling this once per
+    query costs nothing beyond the call.
+    """
+    symbols = getattr(s, "symbols", None)
+    if symbols is not None:
+        return symbols
+    return s if isinstance(s, tuple) else tuple(s)
+
+
 def serialize_trace(sequence: Sequence) -> str:
     """Render a Sequence back into the on-disk text format."""
     return " ".join(str(s) for s in sequence.symbols)
@@ -120,43 +132,47 @@ def deduplicate(sequences: Iterable[Sequence]) -> list[Sequence]:
     return out
 
 
-def _trace_files(root: Path) -> list[Path]:
-    # sorted for deterministic dataset order regardless of filesystem
-    return sorted(p for p in root.rglob("*") if p.is_file())
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path} is not a UTF-8 text trace: {exc}") from None
 
 
-def _read_dir(root: Path, one_trace_per: str) -> Iterator[Sequence]:
-    for path in _trace_files(root):
-        text = path.read_text()
+def _read(root: Path, one_trace_per: str) -> Iterator[tuple[str | None, Sequence]]:
+    """(category, trace) pairs from root, a trace file or a directory walked
+    recursively in sorted path order. The category is the subdirectory of
+    root that holds the file, None for a file directly in root."""
+    if root.is_dir():
+        # sorted for deterministic dataset order regardless of filesystem
+        paths = sorted(p for p in root.rglob("*") if p.is_file())
+    elif root.is_file():
+        paths = [root]
+    else:
+        raise ConfigurationError(f"not a directory or a trace file: {root}")
+    if one_trace_per not in ("file", "line"):
+        raise ConfigurationError(f"one_trace_per must be 'file' or 'line', got {one_trace_per!r}")
+    depth = len(root.parts)
+    for path in paths:
+        category = path.parts[depth] if len(path.parts) > depth + 1 else None
+        text = _read_text(path)
         if one_trace_per == "file":
             seq = parse_trace(text, str(path))
             if len(seq) == 0:
                 log.warning("dropping empty trace %s", path)
                 continue
-            yield seq
+            yield category, seq
         else:
             for lineno, line in enumerate(text.splitlines(), start=1):
                 if not line.strip():
                     continue
-                yield parse_trace(line, f"{path}:{lineno}")
+                yield category, parse_trace(line, f"{path}:{lineno}")
 
 
-def load_traces(directory, one_trace_per: str = "file") -> list[Sequence]:
-    """Load every trace under a directory (recursively, sorted by path)."""
-    root = Path(directory)
-    if not root.is_dir():
-        raise ConfigurationError(f"not a directory: {root}")
-    if one_trace_per not in ("file", "line"):
-        raise ConfigurationError(f"one_trace_per must be 'file' or 'line', got {one_trace_per!r}")
-    return list(_read_dir(root, one_trace_per))
-
-
-def _category_of(path_str: str, attack_root: Path) -> str | None:
-    try:
-        rel = Path(path_str.split(":", 1)[0]).relative_to(attack_root)
-    except ValueError:
-        return None
-    return rel.parts[0] if len(rel.parts) > 1 else None
+def load_traces(path, one_trace_per: str = "file") -> list[Sequence]:
+    """Load one trace file, or every trace under a directory (recursively,
+    sorted by path). Empty trace files are dropped with a warning."""
+    return [seq for _, seq in _read(Path(path), one_trace_per)]
 
 
 def load_dataset(
@@ -177,8 +193,8 @@ def load_dataset(
     """
     train = load_traces(train_dir, one_trace_per)
     validation = load_traces(validation_dir, one_trace_per) if validation_dir else []
-    attack_root = Path(attack_dir)
-    attacks = load_traces(attack_dir, one_trace_per)
+    labelled = list(_read(Path(attack_dir), one_trace_per))
+    attacks = [seq for _, seq in labelled]
 
     if dedup:
         train = deduplicate(train)
@@ -193,5 +209,5 @@ def load_dataset(
     if not attacks:
         raise ConfigurationError(f"no attack sequences loaded from {attack_dir}")
 
-    categories = tuple(_category_of(seq.source_id, attack_root) for seq in attacks)
+    categories = tuple(category for category, _ in labelled)
     return Dataset(tuple(train), tuple(validation), tuple(attacks), categories)

@@ -53,14 +53,10 @@ def test_cover_worked_example(worked_example, capsys):
 
 def test_cover_variants_print_identical_segments(worked_example, capsys):
     model, traces = worked_example
-    outputs = []
-    for variant in ("linear", "binary"):
-        assert main(["cover", "--model-dir", str(model), "--trace", str(traces / "s4.txt"),
-                     "--variant", variant]) == 0
-        record = json.loads(capsys.readouterr().out)
-        outputs.append((record["segments"], record["similarity"]))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][1] == "9/16"
+    assert main(["cover", "--model-dir", str(model), "--trace", str(traces / "s4.txt")]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["similarity"] == "9/16"
+    assert record["segments"] == [[2 * i, 2 * i + 2] for i in range(8)]
 
 
 def test_cover_trace_equal_to_model_file(worked_example, tmp_path, capsys):
@@ -141,6 +137,15 @@ def test_detect_missing_traces_dir(worked_example, capsys):
     model, _ = worked_example
     assert main(["detect", "--model-dir", str(model), "--traces", "/nonexistent/xyz"]) != 0
     assert "error:" in capsys.readouterr().err
+
+
+def test_detect_names_undecodable_trace_file(worked_example, tmp_path, capsys):
+    model, _ = worked_example
+    traces = tmp_path / "mix"
+    _write(traces, "frag.txt", "0 0 0 1 1")
+    (traces / ".DS_Store").write_bytes(b"\xff\xfe\x00junk")
+    assert main(["detect", "--model-dir", str(model), "--traces", str(traces)]) == 2
+    assert str(traces / ".DS_Store") in capsys.readouterr().err
 
 
 def test_detect_writes_outputs(worked_example, tmp_path, capsys):
@@ -277,7 +282,7 @@ def test_manifest_reproduces_run(synthetic_corpus, tmp_path, capsys):
         "--train-dir", args["train_dir"], "--validation-dir", args["validation_dir"],
         "--attack-dir", args["attack_dir"], "--batch-size", str(args["batch_size"]),
         "--stop-fraction", str(args["stop_fraction"]), "--seed", str(args["seed"]),
-        "--bins", str(args["bins"]), "--variant", args["variant"],
+        "--bins", str(args["bins"]),
         "--one-trace-per", args["one_trace_per"], "--out-dir", str(out2),
     ]
     assert main(rerun) == 0

@@ -59,6 +59,12 @@ def test_cover_of_empty_sequence_rejected(reference_model):
         greedy_cover_binary(reference_model, Sequence((), "eps"))
 
 
+def test_raw_tuple_with_negative_symbol_scores_exactly():
+    model = NormalModel([(1, 2, 3), (4, 5)])
+    # segments (2, 3), (-1), (4, 5): k = 3
+    assert covering_similarity(model, (2, 3, -1, 4, 5)) == Fraction(3, 5)
+
+
 def test_empty_model_gives_floor():
     model = NormalModel(())
     assert covering_similarity(model, Sequence((3, 4, 5))) == Fraction(1, 3)

@@ -25,6 +25,13 @@ def test_no_cross_sequence_concatenation():
     assert _index([0, 0, 1], [1, 1, 0]).contains((0, 1, 1)) is False
 
 
+def test_raw_query_cannot_match_through_a_sentinel():
+    # raw tuples skip Sequence's non-negative check; -1 was the first sentinel
+    idx = GeneralizedSuffixIndex([(1, 2, 3), (4, 5)])
+    assert idx.contains((3, -1)) is False
+    assert idx.longest_match_from((3, -1, 4), 0) == 1
+
+
 def test_contains_rejects_empty_query():
     with pytest.raises(ValueError):
         _index([1, 2]).contains(())

@@ -89,6 +89,16 @@ def test_load_dataset_counts_and_categories(tmp_path):
     assert set(ds.attack_categories) == {"catA", None}
 
 
+@pytest.mark.parametrize("one_trace_per", ["file", "line"])
+def test_load_dataset_category_with_colon(tmp_path, one_trace_per):
+    _write(tmp_path / "train", "t0.txt", "1 2 3")
+    _write(tmp_path / "attack" / "Add:1", "a0.txt", "7 7\n8 8")
+    _write(tmp_path / "attack", "loose.txt", "9 9")
+    ds = load_dataset(tmp_path / "train", None, tmp_path / "attack", one_trace_per=one_trace_per)
+    expected = {"file": ("Add:1", None), "line": ("Add:1", "Add:1", None)}
+    assert ds.attack_categories == expected[one_trace_per]
+
+
 def test_load_dataset_cross_split_dedup(tmp_path):
     _write(tmp_path / "train", "t0.txt", "1 2 3")
     _write(tmp_path / "val", "v0.txt", "1 2 3")
@@ -140,3 +150,25 @@ def test_load_traces_totals_match_disk(tmp_path):
     for i in range(6):
         _write(tmp_path / "d", f"f{i}.txt", f"{i} {i}")
     assert len(load_traces(tmp_path / "d")) == 6
+
+
+def test_load_traces_names_undecodable_file(tmp_path):
+    _write(tmp_path / "d", "ok.txt", "1 2")
+    (tmp_path / "d" / ".DS_Store").write_bytes(b"\xff\xfe\x00junk")
+    with pytest.raises(TraceParseError, match=r"\.DS_Store"):
+        load_traces(tmp_path / "d")
+
+
+@pytest.mark.parametrize("one_trace_per", ["file", "line"])
+def test_load_traces_single_file(tmp_path, one_trace_per):
+    _write(tmp_path, "bundle.txt", "1 2\n\n3 4 5\n")
+    seqs = load_traces(tmp_path / "bundle.txt", one_trace_per=one_trace_per)
+    expected = {"file": [(1, 2, 3, 4, 5)], "line": [(1, 2), (3, 4, 5)]}
+    assert [s.symbols for s in seqs] == expected[one_trace_per]
+
+
+def test_load_traces_drops_lone_empty_file_with_warning(tmp_path, caplog):
+    _write(tmp_path, "empty.txt", "")
+    with caplog.at_level("WARNING"):
+        assert load_traces(tmp_path / "empty.txt") == []
+    assert "empty" in caplog.text
