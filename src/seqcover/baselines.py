@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence as PySequence
 
 from .errors import ConfigurationError
+from .suffix_tree import GeneralizedSuffixIndex
 from .traces import as_symbols
 
 
@@ -57,62 +58,23 @@ def lcsq_length(a: PySequence, b: PySequence) -> int:
     return previous[-1]
 
 
-class _SuffixAutomaton:
-    """Suffix automaton of one sequence; dict transitions over int symbols."""
-
-    __slots__ = ("next", "link", "length")
-
-    def __init__(self, seq):
-        self.next: list[dict] = [{}]
-        self.link: list[int] = [-1]
-        self.length: list[int] = [0]
-        last = 0
-        for c in seq:
-            last = self._extend(last, c)
-
-    def _extend(self, last: int, c) -> int:
-        cur = len(self.next)
-        self.next.append({})
-        self.length.append(self.length[last] + 1)
-        self.link.append(-1)
-        p = last
-        while p != -1 and c not in self.next[p]:
-            self.next[p][c] = cur
-            p = self.link[p]
-        if p == -1:
-            self.link[cur] = 0
-            return cur
-        q = self.next[p][c]
-        if self.length[p] + 1 == self.length[q]:
-            self.link[cur] = q
-            return cur
-        clone = len(self.next)
-        self.next.append(dict(self.next[q]))
-        self.length.append(self.length[p] + 1)
-        self.link.append(self.link[q])
-        while p != -1 and self.next[p].get(c) == q:
-            self.next[p][c] = clone
-            p = self.link[p]
-        self.link[q] = clone
-        self.link[cur] = clone
-        return cur
-
-
 def lcst_length(a: PySequence, b: PySequence) -> int:
     """Length of the longest contiguous common substring in O(n + m):
-    stream one sequence through the suffix automaton of the other."""
+    stream b through the suffix automaton of a, falling back along suffix
+    links on a mismatch."""
     if not a or not b:
         return 0
-    sam = _SuffixAutomaton(a)
+    index = GeneralizedSuffixIndex((a,))
+    nxt, link, length = index.next, index.link, index.length
     state = 0
     matched = 0
     best = 0
     for c in b:
-        while state and c not in sam.next[state]:
-            state = sam.link[state]
-            matched = sam.length[state]
-        if c in sam.next[state]:
-            state = sam.next[state][c]
+        while state and c not in nxt[state]:
+            state = link[state]
+            matched = length[state]
+        if c in nxt[state]:
+            state = nxt[state][c]
             matched += 1
             if matched > best:
                 best = matched

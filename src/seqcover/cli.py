@@ -19,7 +19,7 @@ from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, run_enrichme
 from .errors import ConfigurationError, TraceParseError
 from .evaluation import histogram, roc_curve
 from .model import NormalModel
-from .traces import Dataset, load_dataset, load_traces, parse_trace
+from .traces import Dataset, load_dataset, load_traces, parse_trace, read_trace_text
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
@@ -68,7 +68,7 @@ def _cover_record(model: NormalModel, trace) -> dict:
 def cmd_cover(args) -> int:
     model = _load_model(args.model_dir, args.one_trace_per)
     trace_path = Path(args.trace)
-    trace = parse_trace(trace_path.read_text(), str(trace_path))
+    trace = parse_trace(read_trace_text(trace_path), str(trace_path))
     record = _cover_record(model, trace)
     line = json.dumps(record)
     print(line)

@@ -7,7 +7,7 @@ admissible segment, yields a covering of provably minimal cardinality k,
 and the similarity of s to the normal set is (|s| - k + 1) / |s|, exactly 1
 for the empty sequence.
 
-``greedy_cover`` is the extractor: one suffix-tree descent
+``greedy_cover`` is the extractor: one suffix-automaton walk
 (``longest_match_from``) per segment, so extraction is linear in |s|.
 ``greedy_cover_binary`` returns the same segments with every break located
 by a binary search of membership probes, and ``dp_optimal_cover_oracle``
@@ -53,7 +53,7 @@ class Covering:
 def greedy_cover(model: NormalModel, s) -> Covering:
     """Left-to-right greedy covering, each segment maximally extended.
 
-    One suffix-tree descent per segment: the walk consumes each symbol of s
+    One suffix-automaton walk per segment: the walk consumes each symbol of s
     at most once, so extraction is linear in |s|.
     """
     symbols = as_symbols(s)
@@ -80,7 +80,7 @@ def find_break_binary(model: NormalModel, s, start: int, end_bound: int) -> int:
     t == start + 1 is always admissible (single symbol), and admissibility
     of s[start:t] is monotone in t because substring membership is closed
     under prefixes, so a binary search applies. Each probe is a fresh
-    membership descent from the root, costing at most the probed length.
+    membership walk from the start state, costing at most the probed length.
     """
     symbols = as_symbols(s)
     if not 0 <= start < end_bound <= len(symbols):

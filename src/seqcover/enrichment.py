@@ -119,22 +119,26 @@ def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Seq
     return train, rest
 
 
-def _make_scorer(method: str, train: list[Sequence], sigma: DetectorConfig,
-                 lev_norm: str) -> Callable[[list[Sequence]], list[ScoredSequence]]:
+def _score(method: str, train: list[Sequence], sigma: DetectorConfig, lev_norm: str,
+           pool: list[Sequence], attacks: list[Sequence]) -> tuple[list[ScoredSequence], list[ScoredSequence]]:
+    """Score the pool and the attacks against the training set.
+
+    Both batches are scored in one call so that the SC4ID model and its
+    index are released on return, before the next iteration builds its own.
+    """
     if method == "SC4ID":
         model = NormalModel(train)
-        return lambda batch: score_batch(model, sigma, batch)
+        return score_batch(model, sigma, pool), score_batch(model, sigma, attacks)
     kind = _BASELINE_BY_METHOD[method]
-    reference = list(train)
 
     def score(batch: list[Sequence]) -> list[ScoredSequence]:
         out = []
         for seq in batch:
-            similarity = nearest_similarity_to_set(kind, reference, seq, lev_norm=lev_norm)
+            similarity = nearest_similarity_to_set(kind, train, seq, lev_norm=lev_norm)
             out.append(ScoredSequence(seq.source_id, similarity, None, sigma.verdict(similarity)))
         return out
 
-    return score
+    return score(pool), score(attacks)
 
 
 def run_enrichment(
@@ -187,9 +191,7 @@ def run_enrichment(
 
         step_started = time.perf_counter()
         train_size = len(train)
-        scorer = _make_scorer(method, train, sigma, lev_norm)
-        scored_pool = scorer(pool)
-        scored_attacks = scorer(attacks)
+        scored_pool, scored_attacks = _score(method, train, sigma, lev_norm, pool, attacks)
 
         normal_anomaly = [anomaly_score(item.similarity) for item in scored_pool]
         attack_anomaly = [anomaly_score(item.similarity) for item in scored_attacks]

@@ -11,8 +11,8 @@ class NormalModel:
 
     Treated as immutable: enrichment produces a new model via ``extended``,
     rebuilding the index from scratch. The rebuild is not cheap: on the
-    benchmark's enrich workload it takes about three quarters of the run,
-    more than the covering extractions it serves.
+    benchmark's enrich workload it takes about half of the run, three times
+    as long as the covering extractions it serves.
     """
 
     __slots__ = ("sequences", "index")

@@ -132,7 +132,9 @@ def deduplicate(sequences: Iterable[Sequence]) -> list[Sequence]:
     return out
 
 
-def _read_text(path: Path) -> str:
+def read_trace_text(path: Path) -> str:
+    """A trace file's text, decoded as UTF-8; TraceParseError names the
+    file when it does not decode."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -155,7 +157,7 @@ def _read(root: Path, one_trace_per: str) -> Iterator[tuple[str | None, Sequence
     depth = len(root.parts)
     for path in paths:
         category = path.parts[depth] if len(path.parts) > depth + 1 else None
-        text = _read_text(path)
+        text = read_trace_text(path)
         if one_trace_per == "file":
             seq = parse_trace(text, str(path))
             if len(seq) == 0:

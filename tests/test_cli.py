@@ -108,6 +108,14 @@ def test_cover_bad_model_dir_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cover_names_undecodable_trace_file(worked_example, tmp_path, capsys):
+    model, _ = worked_example
+    trace = tmp_path / "bad.txt"
+    trace.write_bytes(b"\xff\xfe\x00junk")
+    assert main(["cover", "--model-dir", str(model), "--trace", str(trace)]) == 2
+    assert str(trace) in capsys.readouterr().err
+
+
 def test_detect_directory(worked_example, capsys):
     model, traces = worked_example
     assert main(["detect", "--model-dir", str(model), "--traces", str(traces),

@@ -59,7 +59,9 @@ def test_empty_sequences_contribute_nothing():
 
 def test_stats_shape():
     stats = _index([1, 2, 3]).stats()
-    assert stats["edges"] == stats["nodes"] - 1
+    n = stats["indexed_symbols"]  # suffix automaton bounds, valid for n >= 3
+    assert stats["nodes"] <= 2 * n - 1
+    assert stats["edges"] <= 3 * n - 4
     assert stats["indexed_symbols"] == 4  # three symbols plus one sentinel
     assert stats["sequences"] == 1
 
