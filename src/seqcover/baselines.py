@@ -4,11 +4,29 @@ Levenshtein (LEV), longest common subsequence (LCSq, gaps allowed) and
 longest common substring (LCSt, contiguous), each normalized into [0, 1].
 Against a set of normal sequences the score is the similarity to the
 nearest member.
+
+Each kernel prepares one side, ``a`` (n symbols), once and then reads the
+other side, ``b`` (m symbols), symbol by symbol:
+
+  * LEV  -- the bit-vector edit distance of Myers (1999) in Hyyrö's (2001)
+            formulation: one column of the DP table is a pair of n-bit
+            vectors of +1/-1 vertical deltas.
+  * LCSq -- the bit-vector LCS of Allison & Dix (1986) in Hyyrö's (2004)
+            formulation: one n-bit vector marks where a DP column does not
+            step up.
+  * LCSt -- b streamed through the suffix automaton of a, falling back
+            along suffix links on a mismatch: O(n + m).
+
+Both bit-vector kernels cost about ceil(n/w) * m word operations (w the
+machine word), done as a few Python big-int operations per symbol of b.
+Python ints are unbounded, so the results are the exact integers of the
+quadratic dynamic programs, with no limit on n.
 """
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence as PySequence
+from operator import add
+from typing import Callable, Iterable, Sequence as PySequence
 
 from .errors import ConfigurationError
 from .suffix_tree import GeneralizedSuffixIndex
@@ -21,75 +39,143 @@ class BaselineKind(Enum):
     LCST = "LCSt"
 
 
+def _match_masks(a: PySequence) -> dict:
+    """``masks[c]`` has bit i set iff ``a[i] == c``."""
+    positions: dict = {}
+    for i, c in enumerate(a):
+        positions.setdefault(c, []).append(i)
+    return {c: sum(1 << i for i in where) for c, where in positions.items()}
+
+
+def _levenshtein_to(a: PySequence) -> Callable[[PySequence], int]:
+    """``b -> edit distance(a, b)``, with a's match masks built once."""
+    n = len(a)
+    if not n:
+        return len
+    masks = _match_masks(a)
+    full = (1 << n) - 1
+    top = 1 << (n - 1)
+
+    def distance(b: PySequence) -> int:
+        get = masks.get
+        pv, mv, score = full, 0, n  # vertical deltas of column 0 are all +1
+        for c in b:
+            eq = get(c, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            # complements are taken within the n bits by xor with full; no
+            # operation moves a bit downward, so bits above n-1 (carries,
+            # shifts) never reach the ones read, and masking pv bounds them
+            ph = mv | ((xh | pv) ^ full)
+            mh = pv & xh
+            if ph & top:
+                score += 1
+            elif mh & top:
+                score -= 1
+            ph = (ph << 1) | 1  # row 0 of the table is 0, 1, 2, ...
+            mh <<= 1
+            pv = (mh | ((xv | ph) ^ full)) & full
+            mv = ph & xv
+        return score
+
+    return distance
+
+
+def _lcsq_to(a: PySequence) -> Callable[[PySequence], int]:
+    """``b -> LCSq(a, b)``, with a's match masks built once."""
+    n = len(a)
+    masks = _match_masks(a)
+    full = (1 << n) - 1
+
+    def length(b: PySequence) -> int:
+        get = masks.get
+        v = full
+        for c in b:
+            u = v & get(c, 0)
+            # carries above bit n-1 never reach back down; drop them at the end
+            v = (v + u) | (v - u)
+        return n - (v & full).bit_count()
+
+    return length
+
+
+def _lcst_to(a: PySequence) -> Callable[[PySequence], int]:
+    """``b -> LCSt(a, b)``, with the suffix automaton of a built once."""
+    index = GeneralizedSuffixIndex((a,))
+    nxt, link, length = index.next, index.link, index.length
+
+    def longest(b: PySequence) -> int:
+        state = 0
+        matched = 0
+        best = 0
+        for c in b:
+            while state and c not in nxt[state]:
+                state = link[state]
+                matched = length[state]
+            if c in nxt[state]:
+                state = nxt[state][c]
+                matched += 1
+                if matched > best:
+                    best = matched
+            else:
+                state = 0
+                matched = 0
+        return best
+
+    return longest
+
+
 def levenshtein_distance(a: PySequence, b: PySequence) -> int:
-    """Unit-cost edit distance, two-row dynamic program (O(min(n,m)) memory)."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, x in enumerate(a):
-        current = [i + 1]
-        for j, y in enumerate(b):
-            current.append(min(
-                previous[j + 1] + 1,        # deletion
-                current[j] + 1,             # insertion
-                previous[j] + (x != y),     # substitution / match
-            ))
-        previous = current
-    return previous[-1]
+    """Unit-cost edit distance (bit-vector, exact)."""
+    return _levenshtein_to(a)(b)
 
 
 def lcsq_length(a: PySequence, b: PySequence) -> int:
-    """Length of a longest (gapped) common subsequence, two-row DP."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for x in a:
-        current = [0]
-        for j, y in enumerate(b):
-            if x == y:
-                current.append(previous[j] + 1)
-            else:
-                current.append(max(previous[j + 1], current[j]))
-        previous = current
-    return previous[-1]
+    """Length of a longest (gapped) common subsequence (bit-vector, exact)."""
+    return _lcsq_to(a)(b)
 
 
 def lcst_length(a: PySequence, b: PySequence) -> int:
-    """Length of the longest contiguous common substring in O(n + m):
-    stream b through the suffix automaton of a, falling back along suffix
-    links on a mismatch."""
-    if not a or not b:
-        return 0
-    index = GeneralizedSuffixIndex((a,))
-    nxt, link, length = index.next, index.link, index.length
-    state = 0
-    matched = 0
-    best = 0
-    for c in b:
-        while state and c not in nxt[state]:
-            state = link[state]
-            matched = length[state]
-        if c in nxt[state]:
-            state = nxt[state][c]
-            matched += 1
-            if matched > best:
-                best = matched
-        else:
-            state = 0
-            matched = 0
-    return best
+    """Length of the longest contiguous common substring, in O(n + m)."""
+    return _lcst_to(a)(b)
 
 
-def _normalizer(n: int, m: int, norm: str) -> int:
+def _normalizer(norm: str) -> Callable[[int, int], int]:
     if norm == "max":
-        return max(n, m)
+        return max
     if norm == "sum":
-        return n + m
+        return add
     raise ConfigurationError(f"unknown LEV normalization {norm!r} (use 'max' or 'sum')")
+
+
+def _similarity_to(kind: BaselineKind, query, lev_norm: str = "max") -> Callable[..., Fraction]:
+    """``reference -> similarity(query, reference)`` for one baseline.
+
+    The query's masks or automaton are built here, once, so scoring a query
+    against a whole reference set pays for them once. Two empty sequences
+    score 1 under every kind.
+    """
+    a = as_symbols(query)
+    n = len(a)
+    if kind is BaselineKind.LEV:
+        distance = _levenshtein_to(a)
+        denominator = _normalizer(lev_norm)
+
+        def value(b):
+            return 1 - Fraction(distance(b), denominator(n, len(b)))
+    elif kind is BaselineKind.LCSQ or kind is BaselineKind.LCST:
+        common = (_lcsq_to if kind is BaselineKind.LCSQ else _lcst_to)(a)
+
+        def value(b):
+            return Fraction(common(b), max(n, len(b)))
+    else:
+        raise ConfigurationError(f"unknown baseline kind {kind!r}")
+
+    def similarity(reference) -> Fraction:
+        b = as_symbols(reference)
+        return value(b) if n or b else Fraction(1)
+
+    return similarity
 
 
 def lev_similarity(s1, s2, norm: str = "max") -> Fraction:
@@ -98,47 +184,28 @@ def lev_similarity(s1, s2, norm: str = "max") -> Fraction:
     ``norm='sum'`` divides by |s1| + |s2| instead (looser normalization some
     write-ups use; rankings between fixed sequences are unaffected).
     """
-    a, b = as_symbols(s1), as_symbols(s2)
-    if not a and not b:
-        return Fraction(1)
-    return 1 - Fraction(levenshtein_distance(a, b), _normalizer(len(a), len(b), norm))
+    return _similarity_to(BaselineKind.LEV, s1, norm)(s2)
 
 
 def lcsq_similarity(s1, s2) -> Fraction:
     """LCSq(s1, s2) / max(|s1|, |s2|); 1 for two empties."""
-    a, b = as_symbols(s1), as_symbols(s2)
-    if not a and not b:
-        return Fraction(1)
-    return Fraction(lcsq_length(a, b), max(len(a), len(b)))
+    return _similarity_to(BaselineKind.LCSQ, s1)(s2)
 
 
 def lcst_similarity(s1, s2) -> Fraction:
     """LCSt(s1, s2) / max(|s1|, |s2|); 1 for two empties."""
-    a, b = as_symbols(s1), as_symbols(s2)
-    if not a and not b:
-        return Fraction(1)
-    return Fraction(lcst_length(a, b), max(len(a), len(b)))
+    return _similarity_to(BaselineKind.LCST, s1)(s2)
 
 
 def pairwise_baseline(kind: BaselineKind, s1, s2, lev_norm: str = "max") -> Fraction:
-    if kind is BaselineKind.LEV:
-        return lev_similarity(s1, s2, norm=lev_norm)
-    if kind is BaselineKind.LCSQ:
-        return lcsq_similarity(s1, s2)
-    if kind is BaselineKind.LCST:
-        return lcst_similarity(s1, s2)
-    raise ConfigurationError(f"unknown baseline kind {kind!r}")
+    return _similarity_to(kind, s1, lev_norm)(s2)
 
 
 def nearest_similarity_to_set(
     kind: BaselineKind, model_sequences: Iterable, s, lev_norm: str = "max"
 ) -> Fraction:
     """Similarity of s to the closest member of the normal set (max over members)."""
-    best: Fraction | None = None
-    for ref in model_sequences:
-        value = pairwise_baseline(kind, s, ref, lev_norm=lev_norm)
-        if best is None or value > best:
-            best = value
+    best = max(map(_similarity_to(kind, s, lev_norm), model_sequences), default=None)
     if best is None:
         raise ConfigurationError("nearest-similarity scoring needs a non-empty normal set")
     return best

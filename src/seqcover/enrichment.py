@@ -119,21 +119,37 @@ def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Seq
     return train, rest
 
 
+class _BudgetExpired(Exception):
+    """The per-method time budget ran out while an iteration was being scored."""
+
+
+def _within_budget(batch: list[Sequence], expired: Callable[[], bool] | None):
+    """The batch, checking the budget before each sequence when one is set."""
+    for seq in batch:
+        if expired is not None and expired():
+            raise _BudgetExpired
+        yield seq
+
+
 def _score(method: str, train: list[Sequence], sigma: DetectorConfig, lev_norm: str,
-           pool: list[Sequence], attacks: list[Sequence]) -> tuple[list[ScoredSequence], list[ScoredSequence]]:
+           pool: list[Sequence], attacks: list[Sequence],
+           expired: Callable[[], bool] | None = None) -> tuple[list[ScoredSequence], list[ScoredSequence]]:
     """Score the pool and the attacks against the training set.
 
     Both batches are scored in one call so that the SC4ID model and its
     index are released on return, before the next iteration builds its own.
+    ``expired`` (if given) is asked before each sequence; once it answers
+    True, ``_BudgetExpired`` abandons the iteration.
     """
     if method == "SC4ID":
         model = NormalModel(train)
-        return score_batch(model, sigma, pool), score_batch(model, sigma, attacks)
+        return (score_batch(model, sigma, _within_budget(pool, expired)),
+                score_batch(model, sigma, _within_budget(attacks, expired)))
     kind = _BASELINE_BY_METHOD[method]
 
     def score(batch: list[Sequence]) -> list[ScoredSequence]:
         out = []
-        for seq in batch:
+        for seq in _within_budget(batch, expired):
             similarity = nearest_similarity_to_set(kind, train, seq, lev_norm=lev_norm)
             out.append(ScoredSequence(seq.source_id, similarity, None, sigma.verdict(similarity)))
         return out
@@ -179,19 +195,28 @@ def run_enrichment(
     iteration = 0
     run_started = time.perf_counter()
 
+    def budget_expired() -> bool:
+        return time.perf_counter() - run_started > time_budget_seconds
+
     while True:
         if not pool:
             truncated = True  # nothing left to score or to select from
             break
-        # the initial evaluation always runs; the budget gates continuation
-        if (time_budget_seconds is not None and records
-                and time.perf_counter() - run_started > time_budget_seconds):
+        # the initial evaluation always runs; the budget gates the rest, both
+        # before an iteration and before each sequence it scores, and an
+        # iteration cut short is dropped
+        expired = budget_expired if time_budget_seconds is not None and records else None
+        if expired is not None and expired():
             aborted = True
             break
 
         step_started = time.perf_counter()
         train_size = len(train)
-        scored_pool, scored_attacks = _score(method, train, sigma, lev_norm, pool, attacks)
+        try:
+            scored_pool, scored_attacks = _score(method, train, sigma, lev_norm, pool, attacks, expired)
+        except _BudgetExpired:
+            aborted = True
+            break
 
         normal_anomaly = [anomaly_score(item.similarity) for item in scored_pool]
         attack_anomaly = [anomaly_score(item.similarity) for item in scored_attacks]

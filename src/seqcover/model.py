@@ -9,10 +9,10 @@ from .traces import Sequence
 class NormalModel:
     """Set of normal sequences with a generalized suffix index over them.
 
-    Treated as immutable: enrichment produces a new model via ``extended``,
-    rebuilding the index from scratch. The rebuild is not cheap: on the
-    benchmark's enrich workload it takes about half of the run, three times
-    as long as the covering extractions it serves.
+    Treated as immutable: each enrichment iteration builds
+    ``NormalModel(train)`` from scratch, index included. The build is not
+    cheap: on the benchmark's enrich workload it takes about half of the
+    run, three times as long as the covering extractions it serves.
     """
 
     __slots__ = ("sequences", "index")
@@ -23,9 +23,6 @@ class NormalModel:
 
     def __len__(self) -> int:
         return len(self.sequences)
-
-    def extended(self, more: Iterable[Sequence]) -> "NormalModel":
-        return NormalModel(self.sequences + tuple(more))
 
     def in_s_sub(self, symbols) -> bool:
         """Admissibility of a covering segment.

@@ -31,7 +31,7 @@ def naive_longest_match(sequences, s, start: int) -> int:
 
 
 def lev_memo(a, b) -> int:
-    """Top-down memoized edit distance (vs the library's two-row DP)."""
+    """Top-down memoized edit distance."""
     a = tuple(a)
     b = tuple(b)
 
@@ -48,6 +48,47 @@ def lev_memo(a, b) -> int:
         )
 
     return dist(len(a), len(b))
+
+
+def lev_two_row(a, b) -> int:
+    """Bottom-up edit distance, one table row at a time (vs the bit-vector kernel)."""
+    a = tuple(a)
+    b = tuple(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, x in enumerate(a):
+        current = [i + 1]
+        for j, y in enumerate(b):
+            current.append(min(
+                previous[j + 1] + 1,        # deletion
+                current[j] + 1,             # insertion
+                previous[j] + (x != y),     # substitution / match
+            ))
+        previous = current
+    return previous[-1]
+
+
+def lcsq_two_row(a, b) -> int:
+    """Bottom-up longest common subsequence length, one table row at a time."""
+    a = tuple(a)
+    b = tuple(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return 0
+    previous = [0] * (len(b) + 1)
+    for x in a:
+        current = [0]
+        for j, y in enumerate(b):
+            if x == y:
+                current.append(previous[j] + 1)
+            else:
+                current.append(max(previous[j + 1], current[j]))
+        previous = current
+    return previous[-1]
 
 
 def lcsq_memo(a, b) -> int:

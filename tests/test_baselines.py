@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lcsq_enum, lcsq_memo, lcst_dp, lev_memo
+from oracles import lcsq_enum, lcsq_memo, lcsq_two_row, lcst_dp, lev_memo, lev_two_row
 from seqcover import (
     BaselineKind,
     ConfigurationError,
     Sequence,
+    lcsq_length,
     lcsq_similarity,
     lcst_length,
     lcst_similarity,
@@ -17,6 +18,7 @@ from seqcover import (
     levenshtein_distance,
     nearest_similarity_to_set,
 )
+from seqcover.baselines import pairwise_baseline
 
 seq = st.lists(st.integers(0, 6), max_size=16)
 
@@ -81,6 +83,31 @@ def test_lcsq_matches_memo_oracle(a, b):
     assert lcsq_length(a, b) == lcsq_memo(a, b)
 
 
+def symbols(k):
+    # the length is drawn first: plain st.lists rarely exceeds 30 symbols
+    return st.integers(0, 200).flatmap(
+        lambda n: st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+
+
+# lengths 0-200, so the bit vectors cross 64 and 128 bits; 2 symbols make
+# many matches, 40 make few
+long_pair = st.sampled_from([2, 40]).flatmap(lambda k: st.tuples(symbols(k), symbols(k)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_pair)
+def test_bit_vector_lev_matches_two_row_dp(pair):
+    a, b = pair
+    assert levenshtein_distance(a, b) == lev_two_row(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_pair)
+def test_bit_vector_lcsq_matches_two_row_dp(pair):
+    a, b = pair
+    assert lcsq_length(a, b) == lcsq_two_row(a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 3), max_size=9), st.lists(st.integers(0, 3), max_size=9))
 def test_lcsq_matches_enumeration_on_tiny_inputs(a, b):
@@ -135,6 +162,16 @@ def test_nearest_similarity_is_max_over_loop():
         from seqcover.baselines import pairwise_baseline
         want = max(pairwise_baseline(kind, probe, r) for r in refs)
         assert nearest_similarity_to_set(kind, refs, probe) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq, st.lists(seq, min_size=1, max_size=6), st.sampled_from(list(BaselineKind)),
+       st.sampled_from(["max", "sum"]))
+def test_nearest_similarity_equals_max_of_pairwise(query, refs, kind, lev_norm):
+    # the per-query set-up, built once and reused over refs, against a fresh
+    # set-up per pair; seq draws the empty sequence too
+    want = max(pairwise_baseline(kind, query, r, lev_norm=lev_norm) for r in refs)
+    assert nearest_similarity_to_set(kind, refs, query, lev_norm=lev_norm) == want
 
 
 def test_nearest_similarity_rejects_empty_model():

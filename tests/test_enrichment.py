@@ -181,6 +181,35 @@ def test_time_budget_aborts():
     assert len(trace.records) == 1  # the first iteration runs, the second is refused
 
 
+@pytest.mark.parametrize("method", ["SC4ID", "LEV"])
+def test_time_budget_cuts_an_iteration_short(monkeypatch, method):
+    import seqcover.detector as detector
+    import seqcover.enrichment as enrichment
+
+    ds = disjoint_dataset()
+    module, name = (detector, "classify") if method == "SC4ID" else (enrichment, "nearest_similarity_to_set")
+    scorer = getattr(module, name)
+    first_iteration = len(ds.normal_validation) + len(ds.attacks)
+    clock = [0.0]
+    scored = [0]
+
+    def counting_scorer(*args, **kwargs):
+        scored[0] += 1
+        if scored[0] == first_iteration + 5:  # iteration 1 scores 11 sequences
+            clock[0] = 100.0
+        return scorer(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting_scorer)
+    monkeypatch.setattr(enrichment.time, "perf_counter", lambda: clock[0])
+    trace = run_enrichment(
+        ds, EnrichmentConfig(batch_size=1, stop_train_fraction=1.0),
+        method=method, time_budget_seconds=10.0,
+    )
+    assert trace.aborted
+    assert len(trace.records) == 1  # iteration 1 expired halfway and is not recorded
+    assert scored[0] == first_iteration + 5
+
+
 def test_duplicate_source_ids_rejected():
     base = (1, 2, 3, 4, 5, 6)
     ds = Dataset(
