@@ -1,9 +1,10 @@
 """Classical string similarities used as comparison points.
 
 Levenshtein (LEV), longest common subsequence (LCSq, gaps allowed) and
-longest common substring (LCSt, contiguous), each normalized into [0, 1].
-Against a set of normal sequences the score is the similarity to the
-nearest member.
+longest common substring (LCSt, contiguous), each normalized into [0, 1]
+by the longer length: 1 - LEV(a, b) / max(|a|, |b|), and LCSq(a, b) or
+LCSt(a, b) over max(|a|, |b|). Two empty sequences score 1. Against a set
+of normal sequences the score is the similarity to the nearest member.
 
 Each kernel prepares one side, ``a`` (n symbols), once and then reads the
 other side, ``b`` (m symbols), symbol by symbol:
@@ -25,7 +26,6 @@ quadratic dynamic programs, with no limit on n.
 
 from enum import Enum
 from fractions import Fraction
-from operator import add
 from typing import Callable, Iterable, Sequence as PySequence
 
 from .errors import ConfigurationError
@@ -140,15 +140,7 @@ def lcst_length(a: PySequence, b: PySequence) -> int:
     return _lcst_to(a)(b)
 
 
-def _normalizer(norm: str) -> Callable[[int, int], int]:
-    if norm == "max":
-        return max
-    if norm == "sum":
-        return add
-    raise ConfigurationError(f"unknown LEV normalization {norm!r} (use 'max' or 'sum')")
-
-
-def _similarity_to(kind: BaselineKind, query, lev_norm: str = "max") -> Callable[..., Fraction]:
+def _similarity_to(kind: BaselineKind, query) -> Callable[..., Fraction]:
     """``reference -> similarity(query, reference)`` for one baseline.
 
     The query's masks or automaton are built here, once, so scoring a query
@@ -159,10 +151,9 @@ def _similarity_to(kind: BaselineKind, query, lev_norm: str = "max") -> Callable
     n = len(a)
     if kind is BaselineKind.LEV:
         distance = _levenshtein_to(a)
-        denominator = _normalizer(lev_norm)
 
         def value(b):
-            return 1 - Fraction(distance(b), denominator(n, len(b)))
+            return 1 - Fraction(distance(b), max(n, len(b)))
     elif kind is BaselineKind.LCSQ or kind is BaselineKind.LCST:
         common = (_lcsq_to if kind is BaselineKind.LCSQ else _lcst_to)(a)
 
@@ -178,13 +169,9 @@ def _similarity_to(kind: BaselineKind, query, lev_norm: str = "max") -> Callable
     return similarity
 
 
-def lev_similarity(s1, s2, norm: str = "max") -> Fraction:
-    """1 - LEV(s1, s2) / max(|s1|, |s2|), in [0, 1]; 1 for two empties.
-
-    ``norm='sum'`` divides by |s1| + |s2| instead (looser normalization some
-    write-ups use; rankings between fixed sequences are unaffected).
-    """
-    return _similarity_to(BaselineKind.LEV, s1, norm)(s2)
+def lev_similarity(s1, s2) -> Fraction:
+    """1 - LEV(s1, s2) / max(|s1|, |s2|), in [0, 1]; 1 for two empties."""
+    return _similarity_to(BaselineKind.LEV, s1)(s2)
 
 
 def lcsq_similarity(s1, s2) -> Fraction:
@@ -197,15 +184,13 @@ def lcst_similarity(s1, s2) -> Fraction:
     return _similarity_to(BaselineKind.LCST, s1)(s2)
 
 
-def pairwise_baseline(kind: BaselineKind, s1, s2, lev_norm: str = "max") -> Fraction:
-    return _similarity_to(kind, s1, lev_norm)(s2)
+def pairwise_baseline(kind: BaselineKind, s1, s2) -> Fraction:
+    return _similarity_to(kind, s1)(s2)
 
 
-def nearest_similarity_to_set(
-    kind: BaselineKind, model_sequences: Iterable, s, lev_norm: str = "max"
-) -> Fraction:
+def nearest_similarity_to_set(kind: BaselineKind, model_sequences: Iterable, s) -> Fraction:
     """Similarity of s to the closest member of the normal set (max over members)."""
-    best = max(map(_similarity_to(kind, s, lev_norm), model_sequences), default=None)
+    best = max(map(_similarity_to(kind, s), model_sequences), default=None)
     if best is None:
         raise ConfigurationError("nearest-similarity scoring needs a non-empty normal set")
     return best

@@ -19,7 +19,7 @@ from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, run_enrichme
 from .errors import ConfigurationError, TraceParseError
 from .evaluation import histogram, roc_curve
 from .model import NormalModel
-from .traces import Dataset, load_dataset, load_traces, parse_trace, read_trace_text
+from .traces import Dataset, load_dataset, load_traces
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
@@ -67,9 +67,10 @@ def _cover_record(model: NormalModel, trace) -> dict:
 
 def cmd_cover(args) -> int:
     model = _load_model(args.model_dir, args.one_trace_per)
-    trace_path = Path(args.trace)
-    trace = parse_trace(read_trace_text(trace_path), str(trace_path))
-    record = _cover_record(model, trace)
+    traces = load_traces(args.trace, args.one_trace_per)
+    if len(traces) != 1:
+        raise ConfigurationError(f"cover needs exactly one non-empty trace, {args.trace} holds {len(traces)}")
+    record = _cover_record(model, traces[0])
     line = json.dumps(record)
     print(line)
     if args.out_dir:
@@ -105,25 +106,8 @@ def cmd_detect(args) -> int:
 
 
 def _dataset_from_args(args) -> Dataset:
-    dataset = load_dataset(
-        args.train_dir,
-        args.validation_dir,
-        args.attack_dir,
-        one_trace_per=args.one_trace_per,
-    )
-    init_list = getattr(args, "init_list", None)
-    if init_list:
-        names = {line.strip() for line in Path(init_list).read_text().splitlines() if line.strip()}
-        normals = list(dataset.normal_train) + list(dataset.normal_validation)
-        initial = [s for s in normals if s.source_id in names or Path(s.source_id).name in names]
-        matched = {Path(s.source_id).name for s in initial} | {s.source_id for s in initial}
-        missing = names - matched
-        if missing:
-            raise ConfigurationError(f"init list entries not found in normal data: {sorted(missing)}")
-        chosen = {s.source_id for s in initial}
-        rest = [s for s in normals if s.source_id not in chosen]
-        dataset = Dataset(tuple(initial), tuple(rest), dataset.attacks, dataset.attack_categories)
-    return dataset
+    return load_dataset(args.train_dir, args.validation_dir, args.attack_dir,
+                        one_trace_per=args.one_trace_per)
 
 
 def _enrichment_config(args) -> EnrichmentConfig:
@@ -226,7 +210,6 @@ def cmd_compare(args) -> int:
         traces[method] = run_enrichment(
             dataset, config,
             method=method,
-            lev_norm=args.lev_norm,
             time_budget_seconds=args.per_method_budget_seconds,
         )
 
@@ -273,8 +256,6 @@ def _add_protocol_flags(parser) -> None:
                              "of all normal data (default: fixed)")
     parser.add_argument("--init-fraction", type=float, default=0.1,
                         help="fraction of normal data for --init random (default: 0.1)")
-    parser.add_argument("--init-list", default=None,
-                        help="file of trace names pinning the fixed initial model")
     parser.add_argument("--batch-size", type=int, default=1,
                         help="worst-scoring normals moved into training per iteration (default: 1)")
     parser.add_argument("--stop-fraction", type=float, default=None,
@@ -322,8 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_protocol_flags(compare)
     compare.add_argument("--methods", default="SC4ID",
                          help="comma-separated subset of SC4ID,LEV,LCSq,LCSt")
-    compare.add_argument("--lev-norm", choices=["max", "sum"], default="max",
-                         help="Levenshtein similarity normalizer (default: max)")
     compare.add_argument("--per-method-budget-seconds", type=float, default=None,
                          help="abort a method once its total runtime exceeds this")
     compare.set_defaults(func=cmd_compare)

@@ -54,12 +54,11 @@ def greedy_cover(model: NormalModel, s) -> Covering:
     """Left-to-right greedy covering, each segment maximally extended.
 
     One suffix-automaton walk per segment: the walk consumes each symbol of s
-    at most once, so extraction is linear in |s|.
+    at most once, so extraction is linear in |s|. The empty sequence gets the
+    empty covering, whose similarity is 1.
     """
     symbols = as_symbols(s)
     n = len(symbols)
-    if n == 0:
-        raise ValueError("cannot cover the empty sequence (its similarity is defined as 1)")
     index = model.index
     segments = []
     start = 0
@@ -106,8 +105,6 @@ def greedy_cover_binary(model: NormalModel, s) -> Covering:
     """
     symbols = as_symbols(s)
     n = len(symbols)
-    if n == 0:
-        raise ValueError("cannot cover the empty sequence (its similarity is defined as 1)")
     segments = []
     start = 0
     while start < n:
@@ -125,8 +122,7 @@ def covering_similarity(model: NormalModel, s) -> Fraction:
     against an empty model, where the substring pool degenerates to the
     bare alphabet).
     """
-    symbols = as_symbols(s)
-    return (greedy_cover(model, symbols) if symbols else Covering((), 0)).similarity
+    return greedy_cover(model, s).similarity
 
 
 def pairwise_similarity(s1, s2) -> Fraction:

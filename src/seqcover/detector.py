@@ -6,7 +6,7 @@ from fractions import Fraction
 from .covering import Covering, greedy_cover, ratio_str
 from .errors import ConfigurationError
 from .model import NormalModel
-from .traces import Sequence, as_symbols
+from .traces import Sequence
 
 NORMAL = "normal"
 ANOMALY = "anomaly"
@@ -76,8 +76,7 @@ def classify(model: NormalModel, config: DetectorConfig, s: Sequence) -> ScoredS
     The empty sequence scores 1 by convention (it is a substring of
     anything), with an empty covering attached.
     """
-    symbols = as_symbols(s)
-    cover = greedy_cover(model, symbols) if symbols else Covering((), 0)
+    cover = greedy_cover(model, s)
     similarity = cover.similarity
     source_id = getattr(s, "source_id", "")
     return ScoredSequence(source_id, similarity, cover, config.verdict(similarity))

@@ -65,6 +65,8 @@ class EnrichmentConfig:
             raise ConfigurationError(f"stop_train_fraction must lie in (0, 1], got {self.stop_train_fraction}")
         if self.stop_max_iterations is not None and self.stop_max_iterations < 1:
             raise ConfigurationError("stop_max_iterations must be >= 1")
+        if self.stop_auc_target is not None and not 0 <= self.stop_auc_target <= 1:
+            raise ConfigurationError(f"stop_auc_target must lie in [0, 1], got {self.stop_auc_target}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def _within_budget(batch: list[Sequence], expired: Callable[[], bool] | None):
         yield seq
 
 
-def _score(method: str, train: list[Sequence], sigma: DetectorConfig, lev_norm: str,
+def _score(method: str, train: list[Sequence], sigma: DetectorConfig,
            pool: list[Sequence], attacks: list[Sequence],
            expired: Callable[[], bool] | None = None) -> tuple[list[ScoredSequence], list[ScoredSequence]]:
     """Score the pool and the attacks against the training set.
@@ -150,7 +152,7 @@ def _score(method: str, train: list[Sequence], sigma: DetectorConfig, lev_norm: 
     def score(batch: list[Sequence]) -> list[ScoredSequence]:
         out = []
         for seq in _within_budget(batch, expired):
-            similarity = nearest_similarity_to_set(kind, train, seq, lev_norm=lev_norm)
+            similarity = nearest_similarity_to_set(kind, train, seq)
             out.append(ScoredSequence(seq.source_id, similarity, None, sigma.verdict(similarity)))
         return out
 
@@ -161,7 +163,6 @@ def run_enrichment(
     dataset: Dataset,
     config: EnrichmentConfig,
     method: str = "SC4ID",
-    lev_norm: str = "max",
     time_budget_seconds: float | None = None,
     on_iteration: Callable[[EnrichmentRecord, list[ScoredSequence], list[ScoredSequence]], None] | None = None,
 ) -> EnrichmentTrace:
@@ -174,6 +175,8 @@ def run_enrichment(
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
+    if time_budget_seconds is not None and not time_budget_seconds >= 0:
+        raise ConfigurationError(f"time_budget_seconds must be >= 0, got {time_budget_seconds}")
     train, pool = _initial_split(dataset, config)
     attacks = list(dataset.attacks)
     if not train:
@@ -213,7 +216,7 @@ def run_enrichment(
         step_started = time.perf_counter()
         train_size = len(train)
         try:
-            scored_pool, scored_attacks = _score(method, train, sigma, lev_norm, pool, attacks, expired)
+            scored_pool, scored_attacks = _score(method, train, sigma, pool, attacks, expired)
         except _BudgetExpired:
             aborted = True
             break

@@ -177,32 +177,24 @@ def load_traces(path, one_trace_per: str = "file") -> list[Sequence]:
     return [seq for _, seq in _read(Path(path), one_trace_per)]
 
 
-def load_dataset(
-    train_dir,
-    validation_dir,
-    attack_dir,
-    one_trace_per: str = "file",
-    dedup: bool = True,
-) -> Dataset:
+def load_dataset(train_dir, validation_dir, attack_dir, one_trace_per: str = "file") -> Dataset:
     """Load a full dataset from trace directories.
 
     ``validation_dir`` may be None for corpora that ship a single normal
-    pool (the enrichment protocols can then split it randomly). With
-    ``dedup`` on, exact-content duplicates are removed within each normal
-    split and any validation sequence already present in training is
-    dropped, so no sequence appears in both. Attack traces are never
-    deduplicated.
+    pool (the enrichment protocols can then split it randomly).
+    Exact-content duplicates are removed within each normal split, and any
+    validation sequence already present in training is dropped, so no
+    sequence appears in both. Attack traces are never deduplicated.
     """
     train = load_traces(train_dir, one_trace_per)
     validation = load_traces(validation_dir, one_trace_per) if validation_dir else []
     labelled = list(_read(Path(attack_dir), one_trace_per))
     attacks = [seq for _, seq in labelled]
 
-    if dedup:
-        train = deduplicate(train)
-        validation = deduplicate(validation)
-        train_contents = {seq.symbols for seq in train}
-        validation = [seq for seq in validation if seq.symbols not in train_contents]
+    train = deduplicate(train)
+    validation = deduplicate(validation)
+    train_contents = {seq.symbols for seq in train}
+    validation = [seq for seq in validation if seq.symbols not in train_contents]
 
     if not train:
         raise ConfigurationError(f"no training sequences loaded from {train_dir}")

@@ -38,13 +38,6 @@ def test_lev_worked_pair():
     assert lev_similarity(a, b) == 1 - Fraction(3, 7)
 
 
-def test_lev_sum_normalization():
-    a, b = (1, 2, 3, 3, 4, 5), (2, 2, 3, 3, 2, 5, 6)
-    assert lev_similarity(a, b, norm="sum") == 1 - Fraction(3, 13)
-    with pytest.raises(ConfigurationError):
-        lev_similarity(a, b, norm="avg")
-
-
 def test_both_empty_pairs_score_one():
     assert lev_similarity((), ()) == 1
     assert lcsq_similarity((), ()) == 1
@@ -165,13 +158,12 @@ def test_nearest_similarity_is_max_over_loop():
 
 
 @settings(max_examples=150, deadline=None)
-@given(seq, st.lists(seq, min_size=1, max_size=6), st.sampled_from(list(BaselineKind)),
-       st.sampled_from(["max", "sum"]))
-def test_nearest_similarity_equals_max_of_pairwise(query, refs, kind, lev_norm):
+@given(seq, st.lists(seq, min_size=1, max_size=6), st.sampled_from(list(BaselineKind)))
+def test_nearest_similarity_equals_max_of_pairwise(query, refs, kind):
     # the per-query set-up, built once and reused over refs, against a fresh
     # set-up per pair; seq draws the empty sequence too
-    want = max(pairwise_baseline(kind, query, r, lev_norm=lev_norm) for r in refs)
-    assert nearest_similarity_to_set(kind, refs, query, lev_norm=lev_norm) == want
+    want = max(pairwise_baseline(kind, query, r) for r in refs)
+    assert nearest_similarity_to_set(kind, refs, query) == want
 
 
 def test_nearest_similarity_rejects_empty_model():

@@ -101,6 +101,33 @@ def test_detect_single_file_per_line(worked_example, tmp_path, capsys):
     assert records[0]["source_id"].endswith("bundle.txt:1")
 
 
+def test_cover_reads_one_trace_per_line(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text("1 2 3\n4 5 6\n")
+    trace = tmp_path / "t.txt"
+    trace.write_text("1 2\n")
+    assert main(["cover", "--model-dir", str(model), "--trace", str(trace),
+                 "--one-trace-per", "line"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["source_id"].endswith("t.txt:1")
+    assert record["similarity"] == "1/1"
+
+
+@pytest.mark.parametrize("text", ["1 2\n5 6\n", "\n"], ids=["two-lines", "blank"])
+def test_cover_needs_exactly_one_trace(tmp_path, capsys, text):
+    # two lines are two traces, never one covered across the line break;
+    # a blank file holds none
+    model = tmp_path / "model.txt"
+    model.write_text("1 2 3\n4 5 6\n")
+    trace = tmp_path / "t2.txt"
+    trace.write_text(text)
+    assert main(["cover", "--model-dir", str(model), "--trace", str(trace),
+                 "--one-trace-per", "line"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exactly one" in captured.err and str(trace) in captured.err
+
+
 def test_cover_bad_model_dir_fails(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     trace.write_text("1")
@@ -223,16 +250,6 @@ def test_enrich_random_init(synthetic_corpus, tmp_path, capsys):
                        extra=("--init", "random", "--init-fraction", "0.3")) == 0
     rows = (out / "trace.csv").read_text().strip().splitlines()
     assert rows[1].split(",")[1] == str(round(0.3 * 8))
-
-
-def test_enrich_init_list(synthetic_corpus, tmp_path, capsys):
-    train, val, attack = synthetic_corpus
-    pin = tmp_path / "init.txt"
-    pin.write_text("t0.txt\n")
-    out = tmp_path / "pinned"
-    assert _run_enrich(train, val, attack, out, extra=("--init-list", str(pin))) == 0
-    rows = (out / "trace.csv").read_text().strip().splitlines()
-    assert rows[1].split(",")[1] == "1"
 
 
 def test_compare_all_methods(synthetic_corpus, tmp_path, capsys):

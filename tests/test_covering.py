@@ -52,11 +52,11 @@ def test_empty_sequence_similarity_is_one(reference_model):
     assert covering_similarity(reference_model, Sequence((), "eps")) == 1
 
 
-def test_cover_of_empty_sequence_rejected(reference_model):
-    with pytest.raises(ValueError):
-        greedy_cover_linear(reference_model, Sequence((), "eps"))
-    with pytest.raises(ValueError):
-        greedy_cover_binary(reference_model, Sequence((), "eps"))
+def test_cover_of_empty_sequence_is_empty(reference_model):
+    for extractor in (greedy_cover_linear, greedy_cover_binary):
+        cover = extractor(reference_model, Sequence((), "eps"))
+        assert cover.segments == ()
+        assert cover.similarity == 1
 
 
 def test_raw_tuple_with_negative_symbol_scores_exactly():

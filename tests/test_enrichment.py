@@ -242,3 +242,17 @@ def test_config_validation():
         EnrichmentConfig(stop_train_fraction=0.5, stop_max_iterations=3)
     with pytest.raises(ConfigurationError):
         EnrichmentConfig(stop_train_fraction=None)
+
+
+@pytest.mark.parametrize("target", [1.5, -0.1, float("nan")])
+def test_stop_auc_target_outside_unit_interval_rejected(target):
+    # no AUC reaches 1.5, and nan has no Fraction: both must fail before any work
+    with pytest.raises(ConfigurationError, match="stop_auc_target"):
+        EnrichmentConfig(stop_train_fraction=None, stop_auc_target=target)
+
+
+@pytest.mark.parametrize("budget", [-1.0, float("nan")])
+def test_negative_or_nan_time_budget_rejected(budget):
+    # nan compares False with every elapsed time, so such a budget would never expire
+    with pytest.raises(ConfigurationError, match="time_budget_seconds"):
+        run_enrichment(disjoint_dataset(), EnrichmentConfig(), time_budget_seconds=budget)
