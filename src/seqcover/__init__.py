@@ -22,7 +22,6 @@ from .baselines import (
 from .covering import (
     Covering,
     covering_similarity,
-    dp_optimal_cover_oracle,
     find_break_binary,
     greedy_cover,
     greedy_cover_binary,
@@ -85,7 +84,6 @@ __all__ = [
     "classify",
     "covering_similarity",
     "deduplicate",
-    "dp_optimal_cover_oracle",
     "find_break_binary",
     "greedy_cover",
     "greedy_cover_binary",

@@ -110,18 +110,17 @@ def _dataset_from_args(args) -> Dataset:
                         one_trace_per=args.one_trace_per)
 
 
-def _enrichment_config(args) -> EnrichmentConfig:
+def _enrichment_config(args, time_budget_seconds: float | None = None) -> EnrichmentConfig:
     stop_fraction = args.stop_fraction
-    if stop_fraction is None and args.stop_iterations is None and args.stop_auc is None:
+    if stop_fraction is None and args.stop_iterations is None:
         stop_fraction = 0.5
     return EnrichmentConfig(
-        initial_selection="fixed_list" if args.init == "fixed" else "random_fraction",
-        init_fraction=args.init_fraction,
+        init_fraction=args.init_fraction if args.init == "random" else None,
         batch_size=args.batch_size,
         stop_train_fraction=stop_fraction,
         stop_max_iterations=args.stop_iterations,
-        stop_auc_target=args.stop_auc,
         rng_seed=args.seed,
+        time_budget_seconds=time_budget_seconds,
     )
 
 
@@ -200,18 +199,14 @@ def _parse_methods(raw: str) -> list[str]:
 def cmd_compare(args) -> int:
     methods = _parse_methods(args.methods)
     dataset = _dataset_from_args(args)
-    config = _enrichment_config(args)
+    config = _enrichment_config(args, args.per_method_budget_seconds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "compare", args)
 
     traces: dict[str, EnrichmentTrace] = {}
     for method in methods:
-        traces[method] = run_enrichment(
-            dataset, config,
-            method=method,
-            time_budget_seconds=args.per_method_budget_seconds,
-        )
+        traces[method] = run_enrichment(dataset, config, method=method)
 
     depth = max(len(trace.records) for trace in traces.values())
     handle, writer = _csv_writer(out_dir / "compare.csv")
@@ -241,6 +236,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_trace_format_flag(parser) -> None:
     parser.add_argument("--one-trace-per", choices=["file", "line"], default="file",
                         help="trace granularity inside input files (default: file)")
@@ -262,11 +264,7 @@ def _add_protocol_flags(parser) -> None:
                         help="stop once this fraction of normal data is in training (default: 0.5)")
     parser.add_argument("--stop-iterations", type=int, default=None,
                         help="stop after this many iterations")
-    parser.add_argument("--stop-auc", type=float, default=None,
-                        help="stop once AUC reaches this value")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    parser.add_argument("--bins", type=int, default=20,
-                        help="histogram bin count for per-iteration outputs (default: 20)")
     parser.add_argument("--out-dir", required=True, help="output directory")
     _add_trace_format_flag(parser)
 
@@ -297,6 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enrich = commands.add_parser("enrich", help="run the model-enrichment protocol")
     _add_protocol_flags(enrich)
+    enrich.add_argument("--bins", type=_positive_int, default=20,
+                        help="histogram bin count for per-iteration outputs (default: 20)")
     enrich.set_defaults(func=cmd_enrich)
 
     compare = commands.add_parser("compare", help="enrichment runs for several similarity methods")

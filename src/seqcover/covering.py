@@ -10,9 +10,10 @@ for the empty sequence.
 ``greedy_cover`` is the extractor: one suffix-automaton walk
 (``longest_match_from``) per segment, so extraction is linear in |s|.
 ``greedy_cover_binary`` returns the same segments with every break located
-by a binary search of membership probes, and ``dp_optimal_cover_oracle``
-computes the minimal k by a shortest path. Both are independent references
-that the tests compare ``greedy_cover`` against; no option selects them.
+by a binary search of membership probes. It is an independent reference
+that the tests and the benchmark's checks compare ``greedy_cover`` against;
+no option selects it. The shortest-path oracle for the minimal k lives with
+the tests (``tests/oracles.py``).
 
 Similarities are exact rationals (``fractions.Fraction``) so that ranking
 by score never hinges on floating-point tie-breaking.
@@ -136,32 +137,6 @@ def pairwise_similarity(s1, s2) -> Fraction:
     forward = covering_similarity(NormalModel((b,)), a)
     backward = covering_similarity(NormalModel((a,)), b)
     return Fraction(1, 2) * (forward + backward)
-
-
-def dp_optimal_cover_oracle(model: NormalModel, s, max_len: int = 256) -> int:
-    """Exact minimum segment count, independent of the greedy extractors.
-
-    Shortest path over the segmentation DAG whose edge (i, j) exists iff
-    j == i + 1 or s[i:j] is a verbatim substring of the model. Candidate
-    edges get their own membership probe (no reliance on prefix closure or
-    maximal extension), which is quadratically many tests, hence the cap.
-    """
-    symbols = as_symbols(s)
-    n = len(symbols)
-    if n == 0:
-        raise ValueError("oracle requires a non-empty sequence")
-    if n > max_len:
-        raise ValueError(f"oracle capped at {max_len} symbols to bound probe count, got {n}")
-    infinity = n + 1
-    dist = [0] + [infinity] * n
-    for i in range(n):
-        step = dist[i] + 1
-        if step >= infinity:
-            continue
-        for j in range(i + 1, n + 1):
-            if step < dist[j] and (j == i + 1 or model.in_s_sub(symbols[i:j])):
-                dist[j] = step
-    return dist[n]
 
 
 def ratio_str(value: Fraction) -> str:

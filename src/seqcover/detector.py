@@ -12,11 +12,17 @@ NORMAL = "normal"
 ANOMALY = "anomaly"
 
 
-def _as_fraction(value) -> Fraction:
-    # floats are read as their decimal rendering: sigma=0.97 means 97/100
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+def _as_fraction(value, name: str) -> Fraction:
+    """The setting ``name`` as an exact rational.
+
+    A float is read as its decimal rendering: sigma=0.97 means 97/100. A
+    value with no finite rational (nan, inf, a non-numeric string) raises
+    ``ConfigurationError`` naming the setting.
+    """
+    try:
+        return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (ValueError, TypeError, OverflowError):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,7 @@ class DetectorConfig:
     sigma: Fraction = Fraction(97, 100)
 
     def __post_init__(self):
-        sigma = _as_fraction(self.sigma)
+        sigma = _as_fraction(self.sigma, "sigma")
         if not 0 <= sigma <= 1:
             raise ConfigurationError(f"sigma must lie in [0, 1], got {sigma}")
         object.__setattr__(self, "sigma", sigma)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .baselines import BaselineKind, nearest_similarity_to_set
-from .detector import DetectorConfig, ScoredSequence, anomaly_score, score_batch
+from .detector import DetectorConfig, ScoredSequence, _as_fraction, anomaly_score, score_batch
 from .errors import ConfigurationError
 from .evaluation import auc_from_scores
 from .model import NormalModel
@@ -33,40 +33,40 @@ _BASELINE_BY_METHOD = {"LEV": BaselineKind.LEV, "LCSq": BaselineKind.LCSQ, "LCSt
 
 @dataclass(frozen=True)
 class EnrichmentConfig:
-    """Initial-model selection, batch size, stop rule and RNG seed.
+    """Initial model, batch size, stop rule, RNG seed and time budget.
 
-    ``initial_selection='fixed_list'`` takes the dataset's training split as
-    the initial model and its validation split as the pool;
-    ``'random_fraction'`` pools both splits and draws ``init_fraction`` of
-    them at random. Exactly one stop rule must be set.
+    ``init_fraction=None`` takes the dataset's training split as the initial
+    model and its validation split as the pool; a value in (0, 1) pools both
+    splits and draws that fraction of them at random. Exactly one stop rule
+    must be set: the share of normal data in training (read as an exact
+    rational) or an iteration count. ``time_budget_seconds`` (comparison
+    runs) caps each method's wall-clock time after its first iteration.
     """
 
-    initial_selection: str = "fixed_list"
-    init_fraction: float = 0.1
+    init_fraction: float | None = None
     batch_size: int = 1
-    stop_train_fraction: float | None = 0.5
+    stop_train_fraction: Fraction | float | None = Fraction(1, 2)
     stop_max_iterations: int | None = None
-    stop_auc_target: float | None = None
     rng_seed: int = 0
+    time_budget_seconds: float | None = None
 
     def __post_init__(self):
-        if self.initial_selection not in ("fixed_list", "random_fraction"):
-            raise ConfigurationError(
-                f"initial_selection must be 'fixed_list' or 'random_fraction', got {self.initial_selection!r}"
-            )
-        if self.initial_selection == "random_fraction" and not 0 < self.init_fraction < 1:
+        if self.init_fraction is not None and not 0 < self.init_fraction < 1:
             raise ConfigurationError(f"init_fraction must lie in (0, 1), got {self.init_fraction}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        rules = [self.stop_train_fraction, self.stop_max_iterations, self.stop_auc_target]
-        if sum(rule is not None for rule in rules) != 1:
+        if (self.stop_train_fraction is None) == (self.stop_max_iterations is None):
             raise ConfigurationError("exactly one stop rule must be set")
-        if self.stop_train_fraction is not None and not 0 < self.stop_train_fraction <= 1:
-            raise ConfigurationError(f"stop_train_fraction must lie in (0, 1], got {self.stop_train_fraction}")
+        if self.stop_train_fraction is not None:
+            fraction = _as_fraction(self.stop_train_fraction, "stop_train_fraction")
+            if not 0 < fraction <= 1:
+                raise ConfigurationError(f"stop_train_fraction must lie in (0, 1], got {self.stop_train_fraction}")
+            object.__setattr__(self, "stop_train_fraction", fraction)
         if self.stop_max_iterations is not None and self.stop_max_iterations < 1:
             raise ConfigurationError("stop_max_iterations must be >= 1")
-        if self.stop_auc_target is not None and not 0 <= self.stop_auc_target <= 1:
-            raise ConfigurationError(f"stop_auc_target must lie in [0, 1], got {self.stop_auc_target}")
+        # a nan budget compares False with every elapsed time and would never expire
+        if self.time_budget_seconds is not None and not self.time_budget_seconds >= 0:
+            raise ConfigurationError(f"time_budget_seconds must be >= 0, got {self.time_budget_seconds}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def select_worst_k(scored: list[ScoredSequence], k: int) -> list[ScoredSequence]
 
 
 def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Sequence], list[Sequence]]:
-    if config.initial_selection == "fixed_list":
+    if config.init_fraction is None:
         return list(dataset.normal_train), list(dataset.normal_validation)
     pool = list(dataset.normal_train) + list(dataset.normal_validation)
     if len(pool) < 2:
@@ -163,7 +163,6 @@ def run_enrichment(
     dataset: Dataset,
     config: EnrichmentConfig,
     method: str = "SC4ID",
-    time_budget_seconds: float | None = None,
     on_iteration: Callable[[EnrichmentRecord, list[ScoredSequence], list[ScoredSequence]], None] | None = None,
 ) -> EnrichmentTrace:
     """Run the enrichment loop and return its full trace.
@@ -175,8 +174,6 @@ def run_enrichment(
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
-    if time_budget_seconds is not None and not time_budget_seconds >= 0:
-        raise ConfigurationError(f"time_budget_seconds must be >= 0, got {time_budget_seconds}")
     train, pool = _initial_split(dataset, config)
     attacks = list(dataset.attacks)
     if not train:
@@ -188,8 +185,6 @@ def run_enrichment(
         raise ConfigurationError("normal sequences need unique source_ids for deterministic selection")
 
     total_normals = len(train) + len(pool)
-    stop_fraction = Fraction(str(config.stop_train_fraction)) if config.stop_train_fraction is not None else None
-    auc_target = Fraction(str(config.stop_auc_target)) if config.stop_auc_target is not None else None
     sigma = DetectorConfig()
 
     records: list[EnrichmentRecord] = []
@@ -199,7 +194,7 @@ def run_enrichment(
     run_started = time.perf_counter()
 
     def budget_expired() -> bool:
-        return time.perf_counter() - run_started > time_budget_seconds
+        return time.perf_counter() - run_started > config.time_budget_seconds
 
     while True:
         if not pool:
@@ -208,7 +203,7 @@ def run_enrichment(
         # the initial evaluation always runs; the budget gates the rest, both
         # before an iteration and before each sequence it scores, and an
         # iteration cut short is dropped
-        expired = budget_expired if time_budget_seconds is not None and records else None
+        expired = budget_expired if config.time_budget_seconds is not None and records else None
         if expired is not None and expired():
             aborted = True
             break
@@ -228,13 +223,10 @@ def run_enrichment(
         auc_excl = auc_from_scores(normal_anomaly, separable) if separable else None
         elapsed = time.perf_counter() - step_started
 
-        stop = False
-        if stop_fraction is not None and Fraction(train_size, total_normals) >= stop_fraction:
-            stop = True
-        if config.stop_max_iterations is not None and iteration + 1 >= config.stop_max_iterations:
-            stop = True
-        if auc_target is not None and auc_all >= auc_target:
-            stop = True
+        if config.stop_max_iterations is not None:
+            stop = iteration + 1 >= config.stop_max_iterations
+        else:
+            stop = Fraction(train_size, total_normals) >= config.stop_train_fraction
 
         added: tuple[str, ...] = ()
         if not stop:

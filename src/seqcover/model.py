@@ -23,14 +23,3 @@ class NormalModel:
 
     def __len__(self) -> int:
         return len(self.sequences)
-
-    def in_s_sub(self, symbols) -> bool:
-        """Admissibility of a covering segment.
-
-        Single symbols are always admissible (the substring pool is drawn
-        from S together with the whole alphabet); longer segments must occur
-        verbatim inside one indexed sequence.
-        """
-        if len(symbols) == 1:
-            return True
-        return self.index.contains(symbols)

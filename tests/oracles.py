@@ -1,7 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Kept deliberately naive and separate from the implementations under test:
-different algorithms, no shared helpers.
+different algorithms, no shared helpers. The one exception is the covering
+oracle: ``dp_optimal_cover_oracle`` searches segmentations on its own, but
+asks the model's suffix index whether a segment is admissible.
 """
 
 from functools import lru_cache
@@ -28,6 +30,44 @@ def naive_longest_match(sequences, s, start: int) -> int:
         if naive_contains(sequences, t[start:end]):
             best = end - start
     return best
+
+
+def in_s_sub(model, symbols) -> bool:
+    """Admissibility of a covering segment.
+
+    Single symbols are always admissible (the substring pool is drawn from
+    S together with the whole alphabet); longer segments must occur
+    verbatim inside one indexed sequence.
+    """
+    if len(symbols) == 1:
+        return True
+    return model.index.contains(symbols)
+
+
+def dp_optimal_cover_oracle(model, s, max_len: int = 256) -> int:
+    """Exact minimum segment count, independent of the greedy extractors.
+
+    Shortest path over the segmentation DAG whose edge (i, j) exists iff
+    j == i + 1 or s[i:j] is a verbatim substring of the model. Candidate
+    edges get their own membership probe (no reliance on prefix closure or
+    maximal extension), which is quadratically many tests, hence the cap.
+    """
+    symbols = tuple(getattr(s, "symbols", s))
+    n = len(symbols)
+    if n == 0:
+        raise ValueError("oracle requires a non-empty sequence")
+    if n > max_len:
+        raise ValueError(f"oracle capped at {max_len} symbols to bound probe count, got {n}")
+    infinity = n + 1
+    dist = [0] + [infinity] * n
+    for i in range(n):
+        step = dist[i] + 1
+        if step >= infinity:
+            continue
+        for j in range(i + 1, n + 1):
+            if step < dist[j] and (j == i + 1 or in_s_sub(model, symbols[i:j])):
+                dist[j] = step
+    return dist[n]
 
 
 def lev_memo(a, b) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import lcsq_enum, lcsq_memo, lcst_dp, lev_memo, naive_contains
+from oracles import dp_optimal_cover_oracle, lcsq_enum, lcsq_memo, lcst_dp, lev_memo, naive_contains
 from seqcover import (
     Dataset,
     DetectorConfig,
@@ -26,7 +26,6 @@ from seqcover import (
     anomaly_score,
     auc_from_scores,
     covering_similarity,
-    dp_optimal_cover_oracle,
     greedy_cover_binary,
     greedy_cover_linear,
     lcsq_length,
@@ -178,7 +177,7 @@ def test_criterion_6_evaluation_correctness():
               for i in range(4)),
     )
     trace = run_enrichment(
-        dataset, EnrichmentConfig(stop_train_fraction=None, stop_auc_target=1.0)
+        dataset, EnrichmentConfig(stop_train_fraction=None, stop_max_iterations=1)
     )
     assert trace.records[0].auc == 1
     assert len(trace.records) == 1
@@ -244,10 +243,7 @@ def test_criterion_8_unm_reproduction():
     for seed in range(5):
         trace = run_enrichment(
             dataset,
-            EnrichmentConfig(
-                initial_selection="random_fraction", init_fraction=0.10,
-                batch_size=1, stop_train_fraction=0.5, rng_seed=seed,
-            ),
+            EnrichmentConfig(init_fraction=0.10, batch_size=1, stop_train_fraction=0.5, rng_seed=seed),
         )
         assert any(rec.auc == 1 for rec in trace.records), f"seed {seed} never separated"
     _report(8, "UNM reproduction: AUC 1.0 within 50% training on 5 seeds")

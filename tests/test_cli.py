@@ -183,6 +183,13 @@ def test_detect_names_undecodable_trace_file(worked_example, tmp_path, capsys):
     assert str(traces / ".DS_Store") in capsys.readouterr().err
 
 
+def test_detect_names_sigma_without_finite_rational(worked_example, capsys):
+    model, traces = worked_example
+    assert main(["detect", "--model-dir", str(model), "--traces", str(traces),
+                 "--sigma", "nan"]) == 2
+    assert "error: sigma must be a finite number, got 'nan'" in capsys.readouterr().err
+
+
 def test_detect_writes_outputs(worked_example, tmp_path, capsys):
     model, traces = worked_example
     out = tmp_path / "out"
@@ -313,3 +320,34 @@ def test_manifest_reproduces_run(synthetic_corpus, tmp_path, capsys):
     assert main(rerun) == 0
     for name in sorted(p.name for p in out1.glob("roc_*.csv")):
         assert (out1 / name).read_text() == (out2 / name).read_text()
+
+
+def _protocol_argv(command, corpus, out, *extra):
+    train, val, attack = corpus
+    return [command, "--train-dir", str(train), "--validation-dir", str(val),
+            "--attack-dir", str(attack), "--stop-iterations", "1", "--out-dir", str(out), *extra]
+
+
+def test_enrich_rejects_bins_below_one_before_writing(synthetic_corpus, tmp_path, capsys):
+    out = tmp_path / "bins0"
+    with pytest.raises(SystemExit) as exit_info:
+        main(_protocol_argv("enrich", synthetic_corpus, out, "--bins", "0"))
+    assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+def test_compare_rejects_nan_budget_before_writing(synthetic_corpus, tmp_path, capsys):
+    out = tmp_path / "nanbudget"
+    assert main(_protocol_argv("compare", synthetic_corpus, out,
+                               "--per-method-budget-seconds", "nan")) == 2
+    assert "time_budget_seconds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_has_no_bins_flag(synthetic_corpus, tmp_path, capsys):
+    # compare writes no histogram, so a bin count would be accepted and ignored
+    out = tmp_path / "cmpbins"
+    with pytest.raises(SystemExit) as exit_info:
+        main(_protocol_argv("compare", synthetic_corpus, out, "--bins", "3"))
+    assert exit_info.value.code == 2
+    assert not out.exists()

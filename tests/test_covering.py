@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import S1, S2, S3, S4
+from oracles import dp_optimal_cover_oracle, in_s_sub
 from seqcover import (
     NormalModel,
     Sequence,
     covering_similarity,
-    dp_optimal_cover_oracle,
     find_break_binary,
     greedy_cover_binary,
     greedy_cover_linear,
@@ -133,10 +133,10 @@ def test_segments_partition_and_are_maximal():
         for start, end in cover.segments:
             assert end - start >= 1
             if end - start >= 2:
-                assert model.in_s_sub(s.symbols[start:end])
+                assert in_s_sub(model, s.symbols[start:end])
             if end < len(s):
                 # extending any segment by one symbol leaves the pool
-                assert not model.in_s_sub(s.symbols[start:end + 1])
+                assert not in_s_sub(model, s.symbols[start:end + 1])
 
 
 def test_similarity_bounds_randomized():

@@ -32,6 +32,12 @@ def test_sigma_range_checked():
         DetectorConfig(-0.1)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), "abc"])
+def test_sigma_without_finite_rational_rejected(sigma):
+    with pytest.raises(ConfigurationError, match="sigma must be a finite number"):
+        DetectorConfig(sigma)
+
+
 def test_substring_classifies_normal(reference_model):
     scored = classify(reference_model, DetectorConfig(), Sequence(S1.symbols[2:7], "frag"))
     assert scored.similarity == 1

@@ -54,7 +54,7 @@ def disjoint_dataset():
 def test_disjoint_alphabet_separates_at_first_iteration():
     trace = run_enrichment(
         disjoint_dataset(),
-        EnrichmentConfig(stop_train_fraction=None, stop_auc_target=1.0),
+        EnrichmentConfig(stop_train_fraction=None, stop_max_iterations=1),
     )
     assert len(trace.records) == 1
     first = trace.records[0]
@@ -103,10 +103,7 @@ def test_attack_similarity_monotone_across_iterations():
 
 def test_random_fraction_initialization_sizes_and_determinism():
     ds = disjoint_dataset()
-    config = EnrichmentConfig(
-        initial_selection="random_fraction", init_fraction=0.25,
-        batch_size=1, stop_train_fraction=0.6, rng_seed=42,
-    )
+    config = EnrichmentConfig(init_fraction=0.25, batch_size=1, stop_train_fraction=0.6, rng_seed=42)
     first = run_enrichment(ds, config)
     again = run_enrichment(ds, config)
     assert first.records[0].train_size == round(0.25 * first.total_normals)
@@ -117,8 +114,7 @@ def test_random_fraction_initialization_sizes_and_determinism():
 
     assert fingerprint(first) == fingerprint(again)
     other = run_enrichment(
-        ds, EnrichmentConfig(initial_selection="random_fraction", init_fraction=0.25,
-                             batch_size=1, stop_train_fraction=0.6, rng_seed=43),
+        ds, EnrichmentConfig(init_fraction=0.25, batch_size=1, stop_train_fraction=0.6, rng_seed=43),
     )
     assert fingerprint(other)  # runs fine; may or may not differ from seed 42
 
@@ -174,8 +170,7 @@ def test_baseline_methods_run():
 def test_time_budget_aborts():
     ds = disjoint_dataset()
     trace = run_enrichment(
-        ds, EnrichmentConfig(batch_size=1, stop_train_fraction=1.0),
-        time_budget_seconds=0.0,
+        ds, EnrichmentConfig(batch_size=1, stop_train_fraction=1.0, time_budget_seconds=0.0),
     )
     assert trace.aborted
     assert len(trace.records) == 1  # the first iteration runs, the second is refused
@@ -202,8 +197,8 @@ def test_time_budget_cuts_an_iteration_short(monkeypatch, method):
     monkeypatch.setattr(module, name, counting_scorer)
     monkeypatch.setattr(enrichment.time, "perf_counter", lambda: clock[0])
     trace = run_enrichment(
-        ds, EnrichmentConfig(batch_size=1, stop_train_fraction=1.0),
-        method=method, time_budget_seconds=10.0,
+        ds, EnrichmentConfig(batch_size=1, stop_train_fraction=1.0, time_budget_seconds=10.0),
+        method=method,
     )
     assert trace.aborted
     assert len(trace.records) == 1  # iteration 1 expired halfway and is not recorded
@@ -228,14 +223,12 @@ def test_random_init_needs_two_normals():
         (Sequence((9,), "atk"),),
     )
     with pytest.raises(ConfigurationError, match="at least two"):
-        run_enrichment(ds, EnrichmentConfig(initial_selection="random_fraction"))
+        run_enrichment(ds, EnrichmentConfig(init_fraction=0.1))
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        EnrichmentConfig(initial_selection="magic")
-    with pytest.raises(ConfigurationError):
-        EnrichmentConfig(initial_selection="random_fraction", init_fraction=1.5)
+        EnrichmentConfig(init_fraction=1.5)
     with pytest.raises(ConfigurationError):
         EnrichmentConfig(batch_size=0)
     with pytest.raises(ConfigurationError):
@@ -244,15 +237,25 @@ def test_config_validation():
         EnrichmentConfig(stop_train_fraction=None)
 
 
-@pytest.mark.parametrize("target", [1.5, -0.1, float("nan")])
-def test_stop_auc_target_outside_unit_interval_rejected(target):
-    # no AUC reaches 1.5, and nan has no Fraction: both must fail before any work
-    with pytest.raises(ConfigurationError, match="stop_auc_target"):
-        EnrichmentConfig(stop_train_fraction=None, stop_auc_target=target)
-
-
 @pytest.mark.parametrize("budget", [-1.0, float("nan")])
 def test_negative_or_nan_time_budget_rejected(budget):
     # nan compares False with every elapsed time, so such a budget would never expire
     with pytest.raises(ConfigurationError, match="time_budget_seconds"):
-        run_enrichment(disjoint_dataset(), EnrichmentConfig(), time_budget_seconds=budget)
+        EnrichmentConfig(time_budget_seconds=budget)
+
+
+def test_init_fraction_alone_draws_at_random():
+    # init_fraction is the whole initial-model setting: None is the fixed split
+    ds = disjoint_dataset()
+    total = len(ds.normal_train) + len(ds.normal_validation)
+    drawn = run_enrichment(ds, EnrichmentConfig(init_fraction=0.25, stop_train_fraction=None,
+                                                stop_max_iterations=1))
+    assert drawn.records[0].train_size == round(0.25 * total)
+    fixed = run_enrichment(ds, EnrichmentConfig(stop_train_fraction=None, stop_max_iterations=1))
+    assert fixed.records[0].train_size == len(ds.normal_train)
+
+
+def test_stop_train_fraction_is_read_as_an_exact_rational():
+    assert EnrichmentConfig(stop_train_fraction=0.1).stop_train_fraction == Fraction(1, 10)
+    with pytest.raises(ConfigurationError, match="stop_train_fraction must be a finite number"):
+        EnrichmentConfig(stop_train_fraction="abc")

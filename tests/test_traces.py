@@ -15,6 +15,13 @@ from seqcover import (
 
 symbol_lists = st.lists(st.integers(min_value=0, max_value=5000), max_size=60)
 
+# every code point that str.split() treats as a separator
+SPLIT_WHITESPACE = [chr(c) for c in range(0x110000) if not chr(c).split()]
+trace_texts = st.lists(
+    st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(SPLIT_WHITESPACE), st.characters()),
+    max_size=20,
+).map("".join)
+
 
 def test_parse_simple():
     assert parse_trace("6 6 63 6 42").symbols == (6, 6, 63, 6, 42)
@@ -36,6 +43,28 @@ def test_parse_rejects_non_integer():
 def test_parse_rejects_negative():
     with pytest.raises(TraceParseError, match="-3"):
         parse_trace("1 -3")
+
+
+@given(trace_texts)
+def test_parse_trace_tokens_are_those_of_str_split(text):
+    # the tokens, and the first bad one named in the error, are those of text.split()
+    values = []
+    for token in text.split():
+        try:
+            value = int(token, 10)
+        except ValueError:
+            value = -1
+        if value < 0:
+            with pytest.raises(TraceParseError) as error:
+                parse_trace(text)
+            assert repr(token) in str(error.value)
+            return
+        values.append(value)
+    assert parse_trace(text).symbols == tuple(values)
+
+
+def test_parse_trace_reads_tokens_as_int_does():
+    assert parse_trace("+5 1_000").symbols == (5, 1000)
 
 
 def test_sequence_rejects_negative_symbols():
