@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .covering import ratio_str
 from .detector import ANOMALY, DetectorConfig, anomaly_score, classify, score_batch
-from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, run_enrichment
+from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, _initial_split, run_enrichment
 from .errors import ConfigurationError, TraceParseError
 from .evaluation import histogram, roc_curve
 from .model import NormalModel
@@ -114,8 +114,13 @@ def _enrichment_config(args, time_budget_seconds: float | None = None) -> Enrich
     stop_fraction = args.stop_fraction
     if stop_fraction is None and args.stop_iterations is None:
         stop_fraction = 0.5
+    init_fraction = args.init_fraction
+    if args.init == "fixed" and init_fraction is not None:
+        raise ConfigurationError("--init-fraction applies only to --init random")
+    if args.init == "random" and init_fraction is None:
+        init_fraction = 0.1
     return EnrichmentConfig(
-        init_fraction=args.init_fraction if args.init == "random" else None,
+        init_fraction=init_fraction,
         batch_size=args.batch_size,
         stop_train_fraction=stop_fraction,
         stop_max_iterations=args.stop_iterations,
@@ -164,6 +169,7 @@ def _write_trace_csv(path: Path, trace: EnrichmentTrace) -> None:
 def cmd_enrich(args) -> int:
     dataset = _dataset_from_args(args)
     config = _enrichment_config(args)
+    _initial_split(dataset, config)  # fail on the data before writing anything
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "enrich", args)
@@ -200,6 +206,7 @@ def cmd_compare(args) -> int:
     methods = _parse_methods(args.methods)
     dataset = _dataset_from_args(args)
     config = _enrichment_config(args, args.per_method_budget_seconds)
+    _initial_split(dataset, config)  # fail on the data before writing anything
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "compare", args)
@@ -256,8 +263,9 @@ def _add_protocol_flags(parser) -> None:
     parser.add_argument("--init", choices=["fixed", "random"], default="fixed",
                         help="initial model: the training split as-is, or a random fraction "
                              "of all normal data (default: fixed)")
-    parser.add_argument("--init-fraction", type=float, default=0.1,
-                        help="fraction of normal data for --init random (default: 0.1)")
+    parser.add_argument("--init-fraction", type=float, default=None,
+                        help="fraction of normal data for --init random (default: 0.1); "
+                             "rejected under --init fixed")
     parser.add_argument("--batch-size", type=int, default=1,
                         help="worst-scoring normals moved into training per iteration (default: 1)")
     parser.add_argument("--stop-fraction", type=float, default=None,

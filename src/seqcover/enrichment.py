@@ -1,14 +1,16 @@
 """Instance-selection loop growing the normal model from validation data.
 
-Protocol per iteration: build the model from the current training set,
+Protocol per iteration: bring the model up to the current training set,
 score every remaining normal validation sequence and every attack sequence,
 record separability (AUC, attacks positive, anomaly score = 1 - similarity),
 then move the worst-scoring normals into the training set. Repeats until
 the stop rule fires, or until the validation pool is exhausted, in which
 case the trace is flagged as truncated.
 
-Only normal data ever enters the model; attacks are scored but never
-selected. The AUC is recorded twice: over all attacks, and excluding
+The SC4ID model is built once per run and extended with each batch moved
+into training, which indexes exactly what a fresh build over the training
+set would. Only normal data ever enters the model; attacks are scored but
+never selected. The AUC is recorded twice: over all attacks, and excluding
 attacks whose similarity is exactly 1 at that iteration (attacks that are
 verbatim substrings of the training data, which no history-based score can
 separate).
@@ -107,17 +109,27 @@ def select_worst_k(scored: list[ScoredSequence], k: int) -> list[ScoredSequence]
 
 
 def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Sequence], list[Sequence]]:
+    """The initial training set and pool, after every check that depends on
+    the data; the CLI calls it before it writes anything."""
+    if not dataset.attacks:
+        raise ConfigurationError("no attack sequences to evaluate against")
+    ids = [seq.source_id for seq in dataset.normal_train + dataset.normal_validation]
+    if len(set(ids)) != len(ids):
+        raise ConfigurationError("normal sequences need unique source_ids for deterministic selection")
     if config.init_fraction is None:
-        return list(dataset.normal_train), list(dataset.normal_validation)
-    pool = list(dataset.normal_train) + list(dataset.normal_validation)
-    if len(pool) < 2:
-        raise ConfigurationError("random initialization needs at least two normal sequences")
-    # always leave something to enrich from
-    count = max(1, min(round(config.init_fraction * len(pool)), len(pool) - 1))
-    rng = random.Random(config.rng_seed)
-    chosen = set(rng.sample(range(len(pool)), count))
-    train = [pool[i] for i in sorted(chosen)]
-    rest = [pool[i] for i in range(len(pool)) if i not in chosen]
+        train, rest = list(dataset.normal_train), list(dataset.normal_validation)
+    else:
+        pool = list(dataset.normal_train) + list(dataset.normal_validation)
+        if len(pool) < 2:
+            raise ConfigurationError("random initialization needs at least two normal sequences")
+        # always leave something to enrich from
+        count = max(1, min(round(config.init_fraction * len(pool)), len(pool) - 1))
+        rng = random.Random(config.rng_seed)
+        chosen = set(rng.sample(range(len(pool)), count))
+        train = [pool[i] for i in sorted(chosen)]
+        rest = [pool[i] for i in range(len(pool)) if i not in chosen]
+    if not train:
+        raise ConfigurationError("initial training set is empty")
     return train, rest
 
 
@@ -133,26 +145,24 @@ def _within_budget(batch: list[Sequence], expired: Callable[[], bool] | None):
         yield seq
 
 
-def _score(method: str, train: list[Sequence], sigma: DetectorConfig,
+def _score(method: str, reference: NormalModel | list[Sequence], sigma: DetectorConfig,
            pool: list[Sequence], attacks: list[Sequence],
            expired: Callable[[], bool] | None = None) -> tuple[list[ScoredSequence], list[ScoredSequence]]:
-    """Score the pool and the attacks against the training set.
+    """Score the pool and the attacks against the training set: its model
+    for SC4ID, the training list itself for a baseline.
 
-    Both batches are scored in one call so that the SC4ID model and its
-    index are released on return, before the next iteration builds its own.
     ``expired`` (if given) is asked before each sequence; once it answers
     True, ``_BudgetExpired`` abandons the iteration.
     """
     if method == "SC4ID":
-        model = NormalModel(train)
-        return (score_batch(model, sigma, _within_budget(pool, expired)),
-                score_batch(model, sigma, _within_budget(attacks, expired)))
+        return (score_batch(reference, sigma, _within_budget(pool, expired)),
+                score_batch(reference, sigma, _within_budget(attacks, expired)))
     kind = _BASELINE_BY_METHOD[method]
 
     def score(batch: list[Sequence]) -> list[ScoredSequence]:
         out = []
         for seq in _within_budget(batch, expired):
-            similarity = nearest_similarity_to_set(kind, train, seq)
+            similarity = nearest_similarity_to_set(kind, reference, seq)
             out.append(ScoredSequence(seq.source_id, similarity, None, sigma.verdict(similarity)))
         return out
 
@@ -176,13 +186,6 @@ def run_enrichment(
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
     train, pool = _initial_split(dataset, config)
     attacks = list(dataset.attacks)
-    if not train:
-        raise ConfigurationError("initial training set is empty")
-    if not attacks:
-        raise ConfigurationError("no attack sequences to evaluate against")
-    ids = [seq.source_id for seq in train + pool]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError("normal sequences need unique source_ids for deterministic selection")
 
     total_normals = len(train) + len(pool)
     sigma = DetectorConfig()
@@ -191,6 +194,7 @@ def run_enrichment(
     truncated = False
     aborted = False
     iteration = 0
+    model: NormalModel | None = None
     run_started = time.perf_counter()
 
     def budget_expired() -> bool:
@@ -210,8 +214,16 @@ def run_enrichment(
 
         step_started = time.perf_counter()
         train_size = len(train)
+        reference: NormalModel | list[Sequence] = train
+        if method == "SC4ID":
+            # one index per run: each step appends what the previous one moved
+            if model is None:
+                model = NormalModel(train)
+            else:
+                model.extend(train[len(model):])
+            reference = model
         try:
-            scored_pool, scored_attacks = _score(method, train, sigma, pool, attacks, expired)
+            scored_pool, scored_attacks = _score(method, reference, sigma, pool, attacks, expired)
         except _BudgetExpired:
             aborted = True
             break

@@ -34,9 +34,10 @@ class GeneralizedSuffixIndex:
 
     ``next[v]`` maps a symbol to the state it leads to from state v,
     ``link[v]`` is v's suffix link (-1 for state 0) and ``length[v]`` the
-    length of the longest string that reaches v. Immutable after
-    construction; queries keep all their state in locals, so any number of
-    readers may run concurrently.
+    length of the longest string that reaches v. ``extend`` appends
+    sequences in place, and the result is the index a single build over all
+    of them, in the same order, would give. Queries keep all their state in
+    locals, so any number of readers may run concurrently between extensions.
     """
 
     def __init__(self, sequences: Iterable = ()):
@@ -47,14 +48,22 @@ class GeneralizedSuffixIndex:
         self.link = array("q", [-1])
         self.length = array("q", [0])
         self.sequence_count = 0
-        last = 0
+        self._last = 0  # the state of the whole data indexed so far
+        self.extend(sequences)
+
+    # -- construction -------------------------------------------------
+
+    def extend(self, sequences: Iterable) -> None:
+        """Append sequences to the indexed data.
+
+        The automaton is online, so this leaves exactly the index that one
+        build over the earlier sequences followed by these would give.
+        """
         for seq in sequences:
             symbols = as_symbols(seq)
             if symbols:  # empty sequences contribute no substrings
-                last = self._add(last, symbols)
+                self._last = self._add(self._last, symbols)
                 self.sequence_count += 1
-
-    # -- construction -------------------------------------------------
 
     def _add(self, last: int, symbols: tuple[int, ...]) -> int:
         """Append symbols and a unique sentinel to the indexed data; returns

@@ -86,6 +86,11 @@ def parse_trace(text: str, source_id: str = "") -> Sequence:
     Raises TraceParseError on any non-integer or negative token, naming the
     token and its character offset. Empty input parses to an empty Sequence.
     """
+    try:
+        # Sequence raises ValueError on a negative symbol, int() on a bad token
+        return Sequence(tuple(map(int, text.split())), source_id)
+    except ValueError:
+        pass  # the loop below finds the offending token and names it
     where = f" in {source_id}" if source_id else ""
     symbols = []
     for match in _TOKEN.finditer(text):

@@ -351,3 +351,23 @@ def test_compare_has_no_bins_flag(synthetic_corpus, tmp_path, capsys):
         main(_protocol_argv("compare", synthetic_corpus, out, "--bins", "3"))
     assert exit_info.value.code == 2
     assert not out.exists()
+
+
+def test_enrich_rejects_random_init_on_one_normal_before_writing(tmp_path, capsys):
+    train = tmp_path / "train"
+    _write(train, "t0.txt", "1 2 3 4")
+    attack = tmp_path / "attack"
+    _write(attack, "a0.txt", "9 9 9")
+    out = tmp_path / "one_normal"
+    assert main(["enrich", "--train-dir", str(train), "--attack-dir", str(attack),
+                 "--init", "random", "--out-dir", str(out)]) == 2
+    assert "at least two normal sequences" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["enrich", "compare"])
+def test_init_fraction_rejected_under_fixed_init_before_writing(synthetic_corpus, tmp_path, capsys, command):
+    out = tmp_path / "fixed_fraction"
+    assert main(_protocol_argv(command, synthetic_corpus, out, "--init", "fixed", "--init-fraction", "5")) == 2
+    assert "--init-fraction applies only to --init random" in capsys.readouterr().err
+    assert not out.exists()

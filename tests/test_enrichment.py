@@ -7,12 +7,16 @@ from seqcover import (
     ConfigurationError,
     Covering,
     Dataset,
+    DetectorConfig,
     EnrichmentConfig,
+    NormalModel,
     ScoredSequence,
     Sequence,
     run_enrichment,
+    score_batch,
     select_worst_k,
 )
+from seqcover.enrichment import _initial_split
 
 
 def _scored(source_id, value):
@@ -259,3 +263,56 @@ def test_stop_train_fraction_is_read_as_an_exact_rational():
     assert EnrichmentConfig(stop_train_fraction=0.1).stop_train_fraction == Fraction(1, 10)
     with pytest.raises(ConfigurationError, match="stop_train_fraction must be a finite number"):
         EnrichmentConfig(stop_train_fraction="abc")
+
+
+def random_dataset():
+    """Unrelated random normals over a small alphabet, so coverings change
+    as the training set grows."""
+    rng = random.Random(17)
+
+    def draw(prefix, count):
+        return tuple(Sequence(tuple(rng.randrange(4) for _ in range(rng.randint(4, 30))), f"{prefix}{i:02d}")
+                     for i in range(count))
+
+    return Dataset(draw("t", 3), draw("v", 12), draw("a", 4))
+
+
+def test_sc4id_run_builds_one_index(monkeypatch):
+    import seqcover.model as model
+
+    built = []
+    index_class = model.GeneralizedSuffixIndex
+
+    def counting_index(sequences=()):
+        built.append(sequences)
+        return index_class(sequences)
+
+    monkeypatch.setattr(model, "GeneralizedSuffixIndex", counting_index)
+    trace = run_enrichment(random_dataset(),
+                           EnrichmentConfig(stop_train_fraction=None, stop_max_iterations=4))
+    assert len(trace.records) == 4
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("init_fraction", [None, 0.25])
+def test_grown_model_scores_as_a_rebuilt_one(batch_size, init_fraction):
+    ds = random_dataset()
+    config = EnrichmentConfig(init_fraction=init_fraction, batch_size=batch_size,
+                              stop_train_fraction=Fraction(9, 10), rng_seed=3)
+    train, _ = _initial_split(ds, config)
+    by_id = {seq.source_id: seq for seq in ds.normal_train + ds.normal_validation}
+    sigma = DetectorConfig()
+    checked = []
+
+    def rebuild_and_compare(record, scored_pool, scored_attacks):
+        assert record.train_size == len(train)
+        rebuilt = NormalModel(train)
+        pool = [by_id[item.source_id] for item in scored_pool]
+        assert scored_pool == score_batch(rebuilt, sigma, pool)
+        assert scored_attacks == score_batch(rebuilt, sigma, ds.attacks)
+        train.extend(by_id[source_id] for source_id in record.added_source_ids)
+        checked.append(record.iteration)
+
+    run_enrichment(ds, config, on_iteration=rebuild_and_compare)
+    assert len(checked) >= 3

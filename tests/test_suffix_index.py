@@ -160,3 +160,27 @@ def test_sentinel_isolation_random():
             for cut_b in range(1, min(4, len(b) + 1)):
                 glued = tuple(a[-cut_a:] + b[:cut_b])
                 assert idx.contains(glued) == naive_contains([a, b], glued)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=12), max_size=4),
+    st.lists(st.lists(st.lists(st.integers(0, 3), max_size=12), max_size=3), min_size=1, max_size=3),
+    st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=10), min_size=1, max_size=3),
+)
+def test_extend_equals_a_fresh_build(first, chunks, queries):
+    # chunks and the sequences in them may be empty
+    grown = GeneralizedSuffixIndex(first)
+    for chunk in chunks:
+        grown.extend(chunk)
+    everything = first + [seq for chunk in chunks for seq in chunk]
+    fresh = GeneralizedSuffixIndex(everything)
+    assert grown.stats() == fresh.stats()
+    for query in map(tuple, queries):
+        for start in range(len(query)):
+            assert grown.longest_match_from(query, start) == fresh.longest_match_from(query, start)
+    # the tail of one sequence glued to the head of the next spans a sentinel
+    indexed = [seq for seq in everything if seq]
+    for a, b in zip(indexed, indexed[1:]):
+        glued = tuple(a[-3:] + b[:3])
+        assert grown.contains(glued) == naive_contains(everything, glued)
