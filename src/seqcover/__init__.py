@@ -9,23 +9,11 @@ ROC/AUC against classical string-similarity baselines.
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    BaselineKind,
-    lcsq_length,
-    lcsq_similarity,
-    lcst_length,
-    lcst_similarity,
-    lev_similarity,
-    levenshtein_distance,
-    nearest_similarity_to_set,
-)
+from .baselines import BaselineKind, nearest_similarity_to_set, pairwise_baseline
 from .covering import (
     Covering,
     covering_similarity,
-    find_break_binary,
     greedy_cover,
-    greedy_cover_binary,
-    greedy_cover_linear,
     pairwise_similarity,
     ratio_str,
 )
@@ -57,7 +45,6 @@ from .traces import (
     load_dataset,
     load_traces,
     parse_trace,
-    serialize_trace,
 )
 
 __all__ = [
@@ -84,20 +71,12 @@ __all__ = [
     "classify",
     "covering_similarity",
     "deduplicate",
-    "find_break_binary",
     "greedy_cover",
-    "greedy_cover_binary",
-    "greedy_cover_linear",
     "histogram",
-    "lcsq_length",
-    "lcsq_similarity",
-    "lcst_length",
-    "lcst_similarity",
-    "lev_similarity",
-    "levenshtein_distance",
     "load_dataset",
     "load_traces",
     "nearest_similarity_to_set",
+    "pairwise_baseline",
     "pairwise_similarity",
     "parse_trace",
     "rank_auc",
@@ -106,5 +85,4 @@ __all__ = [
     "run_enrichment",
     "score_batch",
     "select_worst_k",
-    "serialize_trace",
 ]

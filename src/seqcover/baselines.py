@@ -125,21 +125,6 @@ def _lcst_to(a: PySequence) -> Callable[[PySequence], int]:
     return longest
 
 
-def levenshtein_distance(a: PySequence, b: PySequence) -> int:
-    """Unit-cost edit distance (bit-vector, exact)."""
-    return _levenshtein_to(a)(b)
-
-
-def lcsq_length(a: PySequence, b: PySequence) -> int:
-    """Length of a longest (gapped) common subsequence (bit-vector, exact)."""
-    return _lcsq_to(a)(b)
-
-
-def lcst_length(a: PySequence, b: PySequence) -> int:
-    """Length of the longest contiguous common substring, in O(n + m)."""
-    return _lcst_to(a)(b)
-
-
 def _similarity_to(kind: BaselineKind, query) -> Callable[..., Fraction]:
     """``reference -> similarity(query, reference)`` for one baseline.
 
@@ -169,22 +154,8 @@ def _similarity_to(kind: BaselineKind, query) -> Callable[..., Fraction]:
     return similarity
 
 
-def lev_similarity(s1, s2) -> Fraction:
-    """1 - LEV(s1, s2) / max(|s1|, |s2|), in [0, 1]; 1 for two empties."""
-    return _similarity_to(BaselineKind.LEV, s1)(s2)
-
-
-def lcsq_similarity(s1, s2) -> Fraction:
-    """LCSq(s1, s2) / max(|s1|, |s2|); 1 for two empties."""
-    return _similarity_to(BaselineKind.LCSQ, s1)(s2)
-
-
-def lcst_similarity(s1, s2) -> Fraction:
-    """LCSt(s1, s2) / max(|s1|, |s2|); 1 for two empties."""
-    return _similarity_to(BaselineKind.LCST, s1)(s2)
-
-
 def pairwise_baseline(kind: BaselineKind, s1, s2) -> Fraction:
+    """The baseline similarity of two sequences, in [0, 1]; 1 for two empties."""
     return _similarity_to(kind, s1)(s2)
 
 

@@ -178,10 +178,9 @@ def cmd_enrich(args) -> int:
         on_iteration=_iteration_writer(out_dir, args.bins),
     )
     _write_trace_csv(out_dir / "trace.csv", trace)
-    last = trace.records[-1] if trace.records else None
     status = "truncated" if trace.truncated else "completed"
-    final = f", final auc {float(last.auc):.4f}" if last else ""
-    print(f"enrichment {status} after {len(trace.records)} iterations{final}; outputs in {out_dir}")
+    print(f"enrichment {status} after {len(trace.records)} iterations, "
+          f"final auc {float(trace.records[-1].auc):.4f}; outputs in {out_dir}")
     return 0
 
 
@@ -235,7 +234,7 @@ def cmd_compare(args) -> int:
         for method in methods:
             trace = traces[method]
             total = sum(rec.elapsed_seconds for rec in trace.records)
-            mean = total / len(trace.records) if trace.records else 0.0
+            mean = total / len(trace.records)  # the first iteration always runs
             writer.writerow([method, len(trace.records), f"{total:.6f}",
                              f"{mean:.6f}", str(trace.aborted).lower()])
 

@@ -7,19 +7,24 @@ then move the worst-scoring normals into the training set. Repeats until
 the stop rule fires, or until the validation pool is exhausted, in which
 case the trace is flagged as truncated.
 
-The SC4ID model is built once per run and extended with each batch moved
-into training, which indexes exactly what a fresh build over the training
-set would. Only normal data ever enters the model; attacks are scored but
-never selected. The AUC is recorded twice: over all attacks, and excluding
-attacks whose similarity is exactly 1 at that iteration (attacks that are
-verbatim substrings of the training data, which no history-based score can
-separate).
+Each method scores through one scorer per run, built from the initial
+training set in the first iteration: SC4ID's holds a NormalModel, a
+baseline's its own copy of the training list. Each later iteration extends
+it with exactly the batch the previous one moved, so SC4ID's index is the
+one a fresh build would give. The scorer checks the time budget's deadline
+before each sequence. Only normal data enters training; attacks are scored
+but never selected. The AUC is recorded twice: over all attacks, and
+excluding attacks whose similarity is exactly 1 at that iteration
+(verbatim substrings of the training data, which no history-based score
+can separate).
 """
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .baselines import BaselineKind, nearest_similarity_to_set
@@ -130,6 +135,8 @@ def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Seq
         rest = [pool[i] for i in range(len(pool)) if i not in chosen]
     if not train:
         raise ConfigurationError("initial training set is empty")
+    if not rest:
+        raise ConfigurationError("no normal sequences to score: pass --validation-dir or use --init random")
     return train, rest
 
 
@@ -137,36 +144,54 @@ class _BudgetExpired(Exception):
     """The per-method time budget ran out while an iteration was being scored."""
 
 
-def _within_budget(batch: list[Sequence], expired: Callable[[], bool] | None):
-    """The batch, checking the budget before each sequence when one is set."""
-    for seq in batch:
-        if expired is not None and expired():
-            raise _BudgetExpired
-        yield seq
+class _Scorer:
+    """A method's scorer. It holds its own training set, which ``extend``
+    grows by each moved batch. ``score`` keeps input order and raises
+    ``_BudgetExpired`` once ``deadline``, a ``time.perf_counter`` reading
+    checked before each sequence, has passed."""
+
+    def score(self, seqs, deadline: float) -> list[ScoredSequence]:
+        def in_time():
+            for seq in seqs:
+                if time.perf_counter() > deadline:
+                    raise _BudgetExpired
+                yield seq
+
+        return self._score_all(in_time())
 
 
-def _score(method: str, reference: NormalModel | list[Sequence], sigma: DetectorConfig,
-           pool: list[Sequence], attacks: list[Sequence],
-           expired: Callable[[], bool] | None = None) -> tuple[list[ScoredSequence], list[ScoredSequence]]:
-    """Score the pool and the attacks against the training set: its model
-    for SC4ID, the training list itself for a baseline.
+class _CoveringScorer(_Scorer):
+    """SC4ID: the covering similarity against one NormalModel per run."""
 
-    ``expired`` (if given) is asked before each sequence; once it answers
-    True, ``_BudgetExpired`` abandons the iteration.
-    """
-    if method == "SC4ID":
-        return (score_batch(reference, sigma, _within_budget(pool, expired)),
-                score_batch(reference, sigma, _within_budget(attacks, expired)))
-    kind = _BASELINE_BY_METHOD[method]
+    def __init__(self, sigma: DetectorConfig, train: list[Sequence]):
+        self.sigma, self.model = sigma, NormalModel(train)
 
-    def score(batch: list[Sequence]) -> list[ScoredSequence]:
-        out = []
-        for seq in _within_budget(batch, expired):
-            similarity = nearest_similarity_to_set(kind, reference, seq)
-            out.append(ScoredSequence(seq.source_id, similarity, None, sigma.verdict(similarity)))
-        return out
+    def extend(self, batch: list[Sequence]) -> None:
+        self.model.extend(batch)
 
-    return score(pool), score(attacks)
+    def _score_all(self, seqs) -> list[ScoredSequence]:
+        return score_batch(self.model, self.sigma, seqs)
+
+
+class _BaselineScorer(_Scorer):
+    """LEV, LCSq or LCSt: the similarity to the nearest training sequence."""
+
+    def __init__(self, kind: BaselineKind, sigma: DetectorConfig, train: list[Sequence]):
+        self.kind, self.sigma, self.references = kind, sigma, list(train)
+
+    def extend(self, batch: list[Sequence]) -> None:
+        self.references.extend(batch)
+
+    def _score_all(self, seqs) -> list[ScoredSequence]:
+        scored = [(seq.source_id, nearest_similarity_to_set(self.kind, self.references, seq)) for seq in seqs]
+        return [ScoredSequence(source_id, value, None, self.sigma.verdict(value)) for source_id, value in scored]
+
+
+def _scorer_factory(method: str) -> Callable[[DetectorConfig, list[Sequence]], _Scorer]:
+    """``(sigma, train) -> scorer`` for the method; the one reader of its name."""
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
+    return _CoveringScorer if method == "SC4ID" else partial(_BaselineScorer, _BASELINE_BY_METHOD[method])
 
 
 def run_enrichment(
@@ -175,55 +200,50 @@ def run_enrichment(
     method: str = "SC4ID",
     on_iteration: Callable[[EnrichmentRecord, list[ScoredSequence], list[ScoredSequence]], None] | None = None,
 ) -> EnrichmentTrace:
-    """Run the enrichment loop and return its full trace.
+    """Run the enrichment loop and return its full trace, which holds at
+    least one record: the initial evaluation always runs.
 
     ``on_iteration`` (if given) receives each record together with the
     iteration's scored pool and scored attacks, in order; the CLI uses it to
     emit per-iteration ROC and histogram files without the trace having to
     retain every score.
     """
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
+    new_scorer = _scorer_factory(method)
     train, pool = _initial_split(dataset, config)
-    attacks = list(dataset.attacks)
 
-    total_normals = len(train) + len(pool)
+    train_size = len(train)
+    total_normals = train_size + len(pool)
     sigma = DetectorConfig()
 
     records: list[EnrichmentRecord] = []
-    truncated = False
-    aborted = False
+    truncated = aborted = False
     iteration = 0
-    model: NormalModel | None = None
-    run_started = time.perf_counter()
-
-    def budget_expired() -> bool:
-        return time.perf_counter() - run_started > config.time_budget_seconds
+    scorer: _Scorer | None = None
+    moved: list[Sequence] = []
+    budget = config.time_budget_seconds
+    deadline = time.perf_counter() + (math.inf if budget is None else budget)
 
     while True:
         if not pool:
             truncated = True  # nothing left to score or to select from
             break
-        # the initial evaluation always runs; the budget gates the rest, both
-        # before an iteration and before each sequence it scores, and an
-        # iteration cut short is dropped
-        expired = budget_expired if config.time_budget_seconds is not None and records else None
-        if expired is not None and expired():
+        # the initial evaluation always runs; the deadline gates the rest,
+        # both before an iteration and before each sequence it scores, and
+        # an iteration cut short is dropped
+        step_deadline = deadline if records else math.inf
+        if time.perf_counter() > step_deadline:
             aborted = True
             break
 
         step_started = time.perf_counter()
-        train_size = len(train)
-        reference: NormalModel | list[Sequence] = train
-        if method == "SC4ID":
-            # one index per run: each step appends what the previous one moved
-            if model is None:
-                model = NormalModel(train)
-            else:
-                model.extend(train[len(model):])
-            reference = model
+        # one scorer per run: each step appends what the previous one moved
+        if scorer is None:
+            scorer = new_scorer(sigma, train)
+        else:
+            scorer.extend(moved)
         try:
-            scored_pool, scored_attacks = _score(method, reference, sigma, pool, attacks, expired)
+            scored_pool = scorer.score(pool, step_deadline)
+            scored_attacks = scorer.score(dataset.attacks, step_deadline)
         except _BudgetExpired:
             aborted = True
             break
@@ -242,33 +262,20 @@ def run_enrichment(
 
         added: tuple[str, ...] = ()
         if not stop:
-            worst = select_worst_k(scored_pool, min(config.batch_size, len(scored_pool)))
-            added = tuple(item.source_id for item in worst)
-            added_set = set(added)
+            added = tuple(item.source_id for item in select_worst_k(scored_pool, config.batch_size))
             by_id = {seq.source_id: seq for seq in pool}
-            train.extend(by_id[source_id] for source_id in added)
-            pool = [seq for seq in pool if seq.source_id not in added_set]
+            moved = [by_id.pop(source_id) for source_id in added]
+            pool = list(by_id.values())
 
         record = EnrichmentRecord(
-            iteration=iteration,
-            train_size=train_size,
-            train_fraction=Fraction(train_size, total_normals),
-            auc=auc_all,
-            auc_excluding_exact_matches=auc_excl,
-            elapsed_seconds=elapsed,
-            added_source_ids=added,
-        )
+            iteration=iteration, train_size=train_size, train_fraction=Fraction(train_size, total_normals),
+            auc=auc_all, auc_excluding_exact_matches=auc_excl, elapsed_seconds=elapsed, added_source_ids=added)
         records.append(record)
         if on_iteration is not None:
             on_iteration(record, scored_pool, scored_attacks)
         if stop:
             break
+        train_size += len(moved)
         iteration += 1
 
-    return EnrichmentTrace(
-        method=method,
-        records=tuple(records),
-        total_normals=total_normals,
-        truncated=truncated,
-        aborted=aborted,
-    )
+    return EnrichmentTrace(method, tuple(records), total_normals, truncated, aborted)

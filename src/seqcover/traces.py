@@ -121,11 +121,6 @@ def as_symbols(s) -> tuple[int, ...]:
     return s if isinstance(s, tuple) else tuple(s)
 
 
-def serialize_trace(sequence: Sequence) -> str:
-    """Render a Sequence back into the on-disk text format."""
-    return " ".join(str(s) for s in sequence.symbols)
-
-
 def deduplicate(sequences: Iterable[Sequence]) -> list[Sequence]:
     """Drop exact-content duplicates, keeping the first occurrence in order."""
     seen: set[tuple[int, ...]] = set()

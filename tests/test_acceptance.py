@@ -17,6 +17,7 @@ import pytest
 
 from oracles import dp_optimal_cover_oracle, lcsq_enum, lcsq_memo, lcst_dp, lev_memo, naive_contains
 from seqcover import (
+    BaselineKind,
     Dataset,
     DetectorConfig,
     EnrichmentConfig,
@@ -26,19 +27,15 @@ from seqcover import (
     anomaly_score,
     auc_from_scores,
     covering_similarity,
-    greedy_cover_binary,
-    greedy_cover_linear,
-    lcsq_length,
-    lcsq_similarity,
-    lcst_length,
-    lcst_similarity,
-    levenshtein_distance,
     load_dataset,
+    pairwise_baseline,
     pairwise_similarity,
     rank_auc,
     run_enrichment,
     score_batch,
 )
+from seqcover.baselines import _lcsq_to, _lcst_to, _levenshtein_to
+from seqcover.covering import greedy_cover_binary, greedy_cover_linear
 
 SEED = 20240809
 
@@ -147,15 +144,15 @@ def test_criterion_5_baseline_correctness():
             pairs.append((a, b))
     for a, b in pairs:
         denominator = max(len(a), len(b))
-        assert levenshtein_distance(a, b) == lev_memo(a, b)
-        assert lcsq_length(a, b) == lcsq_memo(a, b)
-        assert lcst_length(a, b) == lcst_dp(a, b)
-        assert lcst_similarity(a, b) <= lcsq_similarity(a, b)
-        assert lcst_similarity(a, b) == Fraction(lcst_dp(a, b), denominator)
+        assert _levenshtein_to(a)(b) == lev_memo(a, b)
+        assert _lcsq_to(a)(b) == lcsq_memo(a, b)
+        assert _lcst_to(a)(b) == lcst_dp(a, b)
+        assert pairwise_baseline(BaselineKind.LCST, a, b) <= pairwise_baseline(BaselineKind.LCSQ, a, b)
+        assert pairwise_baseline(BaselineKind.LCST, a, b) == Fraction(lcst_dp(a, b), denominator)
     for _ in range(40):  # exhaustive enumeration cross-check at tiny sizes
         a = tuple(rng.randrange(4) for _ in range(rng.randint(1, 9)))
         b = tuple(rng.randrange(4) for _ in range(rng.randint(1, 9)))
-        assert lcsq_length(a, b) == lcsq_enum(a, b)
+        assert _lcsq_to(a)(b) == lcsq_enum(a, b)
     _report(5, "LEV/LCSq/LCSt equal independent oracles on 500 pairs")
 
 

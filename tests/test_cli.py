@@ -353,6 +353,20 @@ def test_compare_has_no_bins_flag(synthetic_corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["enrich", "compare"])
+def test_fixed_init_without_validation_dir_fails_before_writing(tmp_path, capsys, command):
+    train = tmp_path / "train"
+    _write(train, "t0.txt", "1 2 3 4")
+    _write(train, "t1.txt", "2 3 4 5")
+    attack = tmp_path / "attack"
+    _write(attack, "a0.txt", "9 9 9")
+    out = tmp_path / "no_pool"
+    assert main([command, "--train-dir", str(train), "--attack-dir", str(attack),
+                 "--out-dir", str(out)]) == 2
+    assert "no normal sequences to score" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_enrich_rejects_random_init_on_one_normal_before_writing(tmp_path, capsys):
     train = tmp_path / "train"
     _write(train, "t0.txt", "1 2 3 4")

@@ -11,12 +11,10 @@ from seqcover import (
     NormalModel,
     Sequence,
     covering_similarity,
-    find_break_binary,
-    greedy_cover_binary,
-    greedy_cover_linear,
     pairwise_similarity,
     ratio_str,
 )
+from seqcover.covering import find_break_binary, greedy_cover_binary, greedy_cover_linear
 
 
 class TestWorkedExample:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from seqcover import (
+    BaselineKind,
     ConfigurationError,
     Covering,
     Dataset,
@@ -180,7 +181,7 @@ def test_time_budget_aborts():
     assert len(trace.records) == 1  # the first iteration runs, the second is refused
 
 
-@pytest.mark.parametrize("method", ["SC4ID", "LEV"])
+@pytest.mark.parametrize("method", ["SC4ID", "LEV", "LCSq", "LCSt"])
 def test_time_budget_cuts_an_iteration_short(monkeypatch, method):
     import seqcover.detector as detector
     import seqcover.enrichment as enrichment
@@ -217,6 +218,16 @@ def test_duplicate_source_ids_rejected():
         (Sequence((9, 9), "atk"),),
     )
     with pytest.raises(ConfigurationError, match="unique source_ids"):
+        run_enrichment(ds, EnrichmentConfig())
+
+
+def test_fixed_init_needs_a_pool_to_score():
+    ds = Dataset(
+        (Sequence((1, 2, 3), "t0"), Sequence((2, 3, 4), "t1")),
+        (),
+        (Sequence((9,), "atk"),),
+    )
+    with pytest.raises(ConfigurationError, match="no normal sequences to score"):
         run_enrichment(ds, EnrichmentConfig())
 
 
@@ -295,24 +306,46 @@ def test_sc4id_run_builds_one_index(monkeypatch):
 
 
 @pytest.mark.parametrize("batch_size", [1, 3])
-@pytest.mark.parametrize("init_fraction", [None, 0.25])
-def test_grown_model_scores_as_a_rebuilt_one(batch_size, init_fraction):
+@pytest.mark.parametrize("init_fraction, method", [
+    pytest.param(None, "SC4ID", id="None"), pytest.param(0.25, "SC4ID", id="0.25"),
+    pytest.param(None, "LEV", id="None-LEV"), pytest.param(0.25, "LEV", id="0.25-LEV"),
+])
+def test_grown_model_scores_as_a_rebuilt_one(monkeypatch, batch_size, init_fraction, method):
+    import seqcover.enrichment as enrichment
+
     ds = random_dataset()
     config = EnrichmentConfig(init_fraction=init_fraction, batch_size=batch_size,
                               stop_train_fraction=Fraction(9, 10), rng_seed=3)
     train, _ = _initial_split(ds, config)
     by_id = {seq.source_id: seq for seq in ds.normal_train + ds.normal_validation}
     sigma = DetectorConfig()
+    references = []
+    nearest = enrichment.nearest_similarity_to_set
+
+    def recording_nearest(kind, model_sequences, s):
+        references.append(list(model_sequences))
+        return nearest(kind, model_sequences, s)
+
+    monkeypatch.setattr(enrichment, "nearest_similarity_to_set", recording_nearest)
     checked = []
+
+    def rescored(seqs):
+        if method == "SC4ID":
+            return score_batch(NormalModel(train), sigma, seqs)
+        values = [nearest(BaselineKind(method), train, seq) for seq in seqs]
+        return [ScoredSequence(seq.source_id, value, None, sigma.verdict(value))
+                for seq, value in zip(seqs, values)]
 
     def rebuild_and_compare(record, scored_pool, scored_attacks):
         assert record.train_size == len(train)
-        rebuilt = NormalModel(train)
+        # a baseline scores against exactly the training list: no batch skipped or appended twice
+        assert all(seen == train for seen in references)
+        references.clear()
         pool = [by_id[item.source_id] for item in scored_pool]
-        assert scored_pool == score_batch(rebuilt, sigma, pool)
-        assert scored_attacks == score_batch(rebuilt, sigma, ds.attacks)
+        assert scored_pool == rescored(pool)
+        assert scored_attacks == rescored(ds.attacks)
         train.extend(by_id[source_id] for source_id in record.added_source_ids)
         checked.append(record.iteration)
 
-    run_enrichment(ds, config, on_iteration=rebuild_and_compare)
+    run_enrichment(ds, config, method=method, on_iteration=rebuild_and_compare)
     assert len(checked) >= 3
