@@ -160,7 +160,13 @@ def pairwise_baseline(kind: BaselineKind, s1, s2) -> Fraction:
 
 
 def nearest_similarity_to_set(kind: BaselineKind, model_sequences: Iterable, s) -> Fraction:
-    """Similarity of s to the closest member of the normal set (max over members)."""
+    """Similarity of s to the closest member of the normal set (max over members).
+
+    The max decomposes over any split of the set: the value over S + B is
+    max(value over S, value over B). So a caller whose set only grows can
+    keep the value over S and score s against the appended B alone, with
+    the same exact result.
+    """
     best = max(map(_similarity_to(kind, s), model_sequences), default=None)
     if best is None:
         raise ConfigurationError("nearest-similarity scoring needs a non-empty normal set")

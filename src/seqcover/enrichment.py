@@ -9,14 +9,16 @@ case the trace is flagged as truncated.
 
 Each method scores through one scorer per run, built from the initial
 training set in the first iteration: SC4ID's holds a NormalModel, a
-baseline's its own copy of the training list. Each later iteration extends
-it with exactly the batch the previous one moved, so SC4ID's index is the
-one a fresh build would give. The scorer checks the time budget's deadline
-before each sequence. Only normal data enters training; attacks are scored
-but never selected. The AUC is recorded twice: over all attacks, and
-excluding attacks whose similarity is exactly 1 at that iteration
-(verbatim substrings of the training data, which no history-based score
-can separate).
+baseline's its own copy of the training list and each query's best score
+so far. Each later iteration extends it with exactly the batch the previous
+one moved, so SC4ID's index is the one a fresh build would give, and a
+baseline scores each query only against the references added since its
+cached best. The scorer checks the time budget's deadline before each
+sequence. Only normal data enters training; attacks are scored but never
+selected. The AUC is recorded twice: over all attacks, and excluding
+attacks whose similarity is exactly 1 at that iteration (verbatim
+substrings of the training data, which no history-based score can
+separate).
 """
 
 import math
@@ -174,16 +176,32 @@ class _CoveringScorer(_Scorer):
 
 
 class _BaselineScorer(_Scorer):
-    """LEV, LCSq or LCSt: the similarity to the nearest training sequence."""
+    """LEV, LCSq or LCSt: the similarity to the nearest training sequence.
+
+    The training list only grows, and the max over S + B is the larger of
+    the maxes over S and over B. So the scorer keeps, per query content,
+    the best similarity so far and how many references it covers, and
+    scores a query only against the references appended since: each
+    (query content, reference) pair is scored once per run.
+    """
 
     def __init__(self, kind: BaselineKind, sigma: DetectorConfig, train: list[Sequence]):
         self.kind, self.sigma, self.references = kind, sigma, list(train)
+        self.best: dict[tuple[int, ...], tuple[Fraction, int]] = {}
 
     def extend(self, batch: list[Sequence]) -> None:
         self.references.extend(batch)
 
+    def _nearest(self, seq: Sequence) -> Fraction:
+        best, seen = self.best.get(seq.symbols, (None, 0))
+        if seen < len(self.references):
+            new = nearest_similarity_to_set(self.kind, self.references[seen:], seq)
+            best = new if best is None else max(best, new)
+            self.best[seq.symbols] = best, len(self.references)
+        return best
+
     def _score_all(self, seqs) -> list[ScoredSequence]:
-        scored = [(seq.source_id, nearest_similarity_to_set(self.kind, self.references, seq)) for seq in seqs]
+        scored = [(seq.source_id, self._nearest(seq)) for seq in seqs]
         return [ScoredSequence(source_id, value, None, self.sigma.verdict(value)) for source_id, value in scored]
 
 

@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqcover import (
     BaselineKind,
@@ -17,7 +21,7 @@ from seqcover import (
     score_batch,
     select_worst_k,
 )
-from seqcover.enrichment import _initial_split
+from seqcover.enrichment import _BaselineScorer, _initial_split
 
 
 def _scored(source_id, value):
@@ -309,6 +313,8 @@ def test_sc4id_run_builds_one_index(monkeypatch):
 @pytest.mark.parametrize("init_fraction, method", [
     pytest.param(None, "SC4ID", id="None"), pytest.param(0.25, "SC4ID", id="0.25"),
     pytest.param(None, "LEV", id="None-LEV"), pytest.param(0.25, "LEV", id="0.25-LEV"),
+    pytest.param(None, "LCSq", id="None-LCSq"), pytest.param(0.25, "LCSq", id="0.25-LCSq"),
+    pytest.param(None, "LCSt", id="None-LCSt"), pytest.param(0.25, "LCSt", id="0.25-LCSt"),
 ])
 def test_grown_model_scores_as_a_rebuilt_one(monkeypatch, batch_size, init_fraction, method):
     import seqcover.enrichment as enrichment
@@ -319,11 +325,11 @@ def test_grown_model_scores_as_a_rebuilt_one(monkeypatch, batch_size, init_fract
     train, _ = _initial_split(ds, config)
     by_id = {seq.source_id: seq for seq in ds.normal_train + ds.normal_validation}
     sigma = DetectorConfig()
-    references = []
+    references = {}  # query symbols -> every reference scored against them, in order
     nearest = enrichment.nearest_similarity_to_set
 
     def recording_nearest(kind, model_sequences, s):
-        references.append(list(model_sequences))
+        references.setdefault(s.symbols, []).extend(model_sequences)
         return nearest(kind, model_sequences, s)
 
     monkeypatch.setattr(enrichment, "nearest_similarity_to_set", recording_nearest)
@@ -338,10 +344,12 @@ def test_grown_model_scores_as_a_rebuilt_one(monkeypatch, batch_size, init_fract
 
     def rebuild_and_compare(record, scored_pool, scored_attacks):
         assert record.train_size == len(train)
-        # a baseline scores against exactly the training list: no batch skipped or appended twice
-        assert all(seen == train for seen in references)
-        references.clear()
         pool = [by_id[item.source_id] for item in scored_pool]
+        if method != "SC4ID":
+            # across iterations, a baseline scores each query content against
+            # exactly the training list: no reference skipped or scored twice
+            for seq in pool + list(ds.attacks):
+                assert references[seq.symbols] == train
         assert scored_pool == rescored(pool)
         assert scored_attacks == rescored(ds.attacks)
         train.extend(by_id[source_id] for source_id in record.added_source_ids)
@@ -349,3 +357,47 @@ def test_grown_model_scores_as_a_rebuilt_one(monkeypatch, batch_size, init_fract
 
     run_enrichment(ds, config, method=method, on_iteration=rebuild_and_compare)
     assert len(checked) >= 3
+
+
+# a run of a baseline scorer: the contents its sequences are drawn from, the
+# initial training list, then ("extend" | "score", content indices) steps;
+# contents repeat, so one content is scored under several source_ids
+_contents = st.lists(st.lists(st.integers(0, 3), max_size=8).map(tuple), min_size=1, max_size=4)
+_indices = st.lists(st.integers(0, 3), max_size=4)
+_steps = st.lists(st.tuples(st.sampled_from(["extend", "score"]), _indices), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(BaselineKind)), _contents, _indices.filter(bool), _steps)
+@example(BaselineKind.LEV, [(), (1, 2), (2, 1, 1)], [1],
+         # the same content twice, an empty batch, a sequence first scored
+         # after several extends, the empty sequence as query and reference
+         [("score", [1, 1]), ("extend", []), ("extend", [0]), ("extend", [2]), ("score", [2, 0, 1])])
+def test_baseline_scorer_equals_nearest_over_all_references(kind, contents, initial, steps):
+    import seqcover.enrichment as enrichment
+
+    def sequences(tag, indices):
+        return [Sequence(contents[i % len(contents)], f"{tag}-{n}") for n, i in enumerate(indices)]
+
+    nearest = enrichment.nearest_similarity_to_set
+    scored_against = {}  # query symbols -> every reference scored against them, in order
+
+    def recording_nearest(kind, model_sequences, s):
+        scored_against.setdefault(s.symbols, []).extend(model_sequences)
+        return nearest(kind, model_sequences, s)
+
+    references = sequences("train", initial)
+    scorer = _BaselineScorer(kind, DetectorConfig(), references)
+    with mock.patch.object(enrichment, "nearest_similarity_to_set", recording_nearest):
+        for step, (action, indices) in enumerate(steps):
+            batch = sequences(f"{action}{step}", indices)
+            if action == "extend":
+                scorer.extend(batch)
+                references = references + batch
+                continue
+            scored = scorer.score(batch, math.inf)
+            assert [item.source_id for item in scored] == [seq.source_id for seq in batch]
+            for seq, item in zip(batch, scored):
+                assert item.similarity == nearest(kind, references, seq)
+                # each reference scored once per content: none skipped, none rescanned
+                assert scored_against[seq.symbols] == references
