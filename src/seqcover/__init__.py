@@ -35,7 +35,7 @@ from .enrichment import (
     select_worst_k,
 )
 from .errors import ConfigurationError, TraceParseError
-from .evaluation import RocCurve, auc, auc_from_scores, histogram, rank_auc, roc_curve
+from .evaluation import RocCurve, auc_from_scores, histogram, rank_auc, roc_curve
 from .model import NormalModel
 from .suffix_tree import GeneralizedSuffixIndex
 from .traces import (
@@ -66,7 +66,6 @@ __all__ = [
     "Sequence",
     "TraceParseError",
     "anomaly_score",
-    "auc",
     "auc_from_scores",
     "classify",
     "covering_similarity",

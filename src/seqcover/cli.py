@@ -37,9 +37,11 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_writer(path: Path):
-    handle = path.open("w", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(value: Fraction | float | None) -> str:
@@ -135,35 +137,23 @@ def _iteration_writer(out_dir: Path, bins: int):
         normal_anom = [anomaly_score(item.similarity) for item in scored_pool]
         attack_anom = [anomaly_score(item.similarity) for item in scored_attacks]
         curve = roc_curve(normal_anom, attack_anom)
-        handle, writer = _csv_writer(out_dir / f"roc_{tag}.csv")
-        with handle:
-            writer.writerow(["false_positive_rate", "true_positive_rate"])
-            for x, y in curve.points:
-                writer.writerow([f"{float(x):.10g}", f"{float(y):.10g}"])
+        _write_csv(out_dir / f"roc_{tag}.csv", ["false_positive_rate", "true_positive_rate"],
+                   ([f"{float(x):.10g}", f"{float(y):.10g}"] for x, y in curve.points))
         normal_hist = histogram([item.similarity for item in scored_pool], bins)
         attack_hist = histogram([item.similarity for item in scored_attacks], bins)
-        handle, writer = _csv_writer(out_dir / f"hist_{tag}.csv")
-        with handle:
-            writer.writerow(["bin_lower_edge", "normal_count", "attack_count"])
-            for (edge, n_count), (_, a_count) in zip(normal_hist, attack_hist):
-                writer.writerow([f"{float(edge):.10g}", n_count, a_count])
+        _write_csv(out_dir / f"hist_{tag}.csv", ["bin_lower_edge", "normal_count", "attack_count"],
+                   ([f"{float(edge):.10g}", n_count, a_count]
+                    for (edge, n_count), (_, a_count) in zip(normal_hist, attack_hist)))
 
     return write
 
 
 def _write_trace_csv(path: Path, trace: EnrichmentTrace) -> None:
-    handle, writer = _csv_writer(path)
-    with handle:
-        writer.writerow([
-            "iteration", "train_size", "train_fraction",
-            "auc", "auc_excluding_exact_substring_attacks", "elapsed_seconds",
-        ])
-        for rec in trace.records:
-            writer.writerow([
-                rec.iteration, rec.train_size, _fmt(rec.train_fraction),
-                _fmt(rec.auc), _fmt(rec.auc_excluding_exact_matches),
-                f"{rec.elapsed_seconds:.6f}",
-            ])
+    header = ["iteration", "train_size", "train_fraction",
+              "auc", "auc_excluding_exact_substring_attacks", "elapsed_seconds"]
+    _write_csv(path, header, ([rec.iteration, rec.train_size, _fmt(rec.train_fraction),
+                               _fmt(rec.auc), _fmt(rec.auc_excluding_exact_matches),
+                               f"{rec.elapsed_seconds:.6f}"] for rec in trace.records))
 
 
 def cmd_enrich(args) -> int:
@@ -215,28 +205,22 @@ def cmd_compare(args) -> int:
         traces[method] = run_enrichment(dataset, config, method=method)
 
     depth = max(len(trace.records) for trace in traces.values())
-    handle, writer = _csv_writer(out_dir / "compare.csv")
-    with handle:
-        writer.writerow(["iteration", "train_size", "train_fraction"]
-                        + [f"auc_{method}" for method in methods])
-        for i in range(depth):
-            sized = next(t.records[i] for t in traces.values() if len(t.records) > i)
-            row = [sized.iteration, sized.train_size, _fmt(sized.train_fraction)]
-            for method in methods:
-                recs = traces[method].records
-                row.append(_fmt(recs[i].auc) if len(recs) > i else "")
-            writer.writerow(row)
+    rows = []
+    for i in range(depth):
+        sized = next(t.records[i] for t in traces.values() if len(t.records) > i)
+        rows.append([sized.iteration, sized.train_size, _fmt(sized.train_fraction)]
+                    + [_fmt(t.records[i].auc) if len(t.records) > i else "" for t in traces.values()])
+    _write_csv(out_dir / "compare.csv", ["iteration", "train_size", "train_fraction"]
+               + [f"auc_{method}" for method in methods], rows)
 
-    handle, writer = _csv_writer(out_dir / "times.csv")
-    with handle:
-        writer.writerow(["method", "iterations", "total_elapsed_seconds",
-                         "mean_elapsed_seconds", "aborted"])
-        for method in methods:
-            trace = traces[method]
-            total = sum(rec.elapsed_seconds for rec in trace.records)
-            mean = total / len(trace.records)  # the first iteration always runs
-            writer.writerow([method, len(trace.records), f"{total:.6f}",
-                             f"{mean:.6f}", str(trace.aborted).lower()])
+    rows = []
+    for method, trace in traces.items():
+        total = sum(rec.elapsed_seconds for rec in trace.records)
+        mean = total / len(trace.records)  # the first iteration always runs
+        rows.append([method, len(trace.records), f"{total:.6f}", f"{mean:.6f}",
+                     str(trace.aborted).lower()])
+    _write_csv(out_dir / "times.csv", ["method", "iterations", "total_elapsed_seconds",
+                                       "mean_elapsed_seconds", "aborted"], rows)
 
     print(f"compared {', '.join(methods)} over {depth} iterations; outputs in {out_dir}")
     return 0

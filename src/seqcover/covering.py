@@ -129,8 +129,10 @@ def covering_similarity(model: NormalModel, s) -> Fraction:
 def pairwise_similarity(s1, s2) -> Fraction:
     """Symmetrized covering similarity between two sequences.
 
-    Average of covering s1 with substrings of s2 and vice versa; 1 exactly
-    when the sequences are equal, always positive.
+    Average of covering s1 with substrings of s2 and vice versa; always
+    positive. It is 1 exactly when the sequences are equal or neither has
+    more than one symbol, since every single symbol is an admissible
+    segment: ``pairwise_similarity([1], [2]) == 1``.
     """
     a = as_symbols(s1)
     b = as_symbols(s2)

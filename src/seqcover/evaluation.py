@@ -9,6 +9,7 @@ the last digit, not merely within tolerance.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ConfigurationError
 
@@ -25,41 +26,36 @@ class RocCurve:
     points: tuple[tuple[Fraction, Fraction], ...]
 
 
-def roc_curve(normal_scores, attack_scores) -> RocCurve:
-    """Sweep the pooled scores from most to least anomalous."""
+def _roc_counts(normal_scores, attack_scores) -> list[tuple[int, int]]:
+    """(false positives, true positives) after each distinct score, sweeping
+    the pooled scores from most to least anomalous on their exact values."""
     if not attack_scores:
         raise ConfigurationError("ROC needs attack scores: the positive class is empty")
     if not normal_scores:
         raise ConfigurationError("ROC needs normal scores: the negative class is empty")
-    negatives = len(normal_scores)
-    positives = len(attack_scores)
     pooled = [(score, 1) for score in _fractions(attack_scores)]
     pooled += [(score, 0) for score in _fractions(normal_scores)]
-    pooled.sort(key=lambda pair: pair[0], reverse=True)
+    pooled.sort(key=itemgetter(0), reverse=True)
+    counts = []
+    true_pos = 0
+    threshold = pooled[0][0]
+    for i, (score, is_attack) in enumerate(pooled):
+        if score != threshold:
+            counts.append((i - true_pos, true_pos))
+            threshold = score
+        true_pos += is_attack
+    counts.append((len(pooled) - true_pos, true_pos))
+    return counts
 
+
+def roc_curve(normal_scores, attack_scores) -> RocCurve:
+    """Sweep the pooled scores from most to least anomalous."""
+    negatives = len(normal_scores)
+    positives = len(attack_scores)
     points = [(Fraction(0), Fraction(0))]
-    true_pos = false_pos = 0
-    i = 0
-    total = len(pooled)
-    while i < total:
-        threshold = pooled[i][0]
-        while i < total and pooled[i][0] == threshold:
-            if pooled[i][1]:
-                true_pos += 1
-            else:
-                false_pos += 1
-            i += 1
+    for false_pos, true_pos in _roc_counts(normal_scores, attack_scores):
         points.append((Fraction(false_pos, negatives), Fraction(true_pos, positives)))
     return RocCurve(tuple(points))
-
-
-def auc(curve: RocCurve) -> Fraction:
-    """Trapezoidal area under the curve, exact."""
-    area = Fraction(0)
-    points = curve.points
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2
-    return area
 
 
 def rank_auc(normal_scores, attack_scores) -> Fraction:
@@ -80,7 +76,13 @@ def rank_auc(normal_scores, attack_scores) -> Fraction:
 
 
 def auc_from_scores(normal_scores, attack_scores) -> Fraction:
-    return auc(roc_curve(normal_scores, attack_scores))
+    """Trapezoidal area under the ROC curve, summed over integer counts."""
+    twice_area = 0
+    false_pos = true_pos = 0
+    for next_fp, next_tp in _roc_counts(normal_scores, attack_scores):
+        twice_area += (next_fp - false_pos) * (true_pos + next_tp)
+        false_pos, true_pos = next_fp, next_tp
+    return Fraction(twice_area, 2 * len(normal_scores) * len(attack_scores))
 
 
 def histogram(scores, bin_count: int) -> list[tuple[Fraction, int]]:

@@ -6,6 +6,7 @@ oracle: ``dp_optimal_cover_oracle`` searches segmentations on its own, but
 asks the model's suffix index whether a segment is admissible.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -182,8 +183,6 @@ def lcst_dp(a, b) -> int:
 
 def pair_count_auc(normal_scores, attack_scores):
     """AUC as an explicit pair count: attacks above normals, ties half."""
-    from fractions import Fraction
-
     total = Fraction(0)
     for attack in attack_scores:
         for normal in normal_scores:
@@ -192,3 +191,34 @@ def pair_count_auc(normal_scores, attack_scores):
             elif attack == normal:
                 total += Fraction(1, 2)
     return total / (len(normal_scores) * len(attack_scores))
+
+
+def trapezoid_roc_oracle(normal_scores, attack_scores):
+    """ROC points as ``Fraction`` rates, one per distinct pooled score from
+    the most anomalous down, starting at (0, 0)."""
+    negatives = len(normal_scores)
+    positives = len(attack_scores)
+    pooled = [(Fraction(score), 1) for score in attack_scores]
+    pooled += [(Fraction(score), 0) for score in normal_scores]
+    pooled.sort(key=lambda pair: pair[0], reverse=True)
+    points = [(Fraction(0), Fraction(0))]
+    true_pos = false_pos = 0
+    i = 0
+    while i < len(pooled):
+        threshold = pooled[i][0]
+        while i < len(pooled) and pooled[i][0] == threshold:
+            if pooled[i][1]:
+                true_pos += 1
+            else:
+                false_pos += 1
+            i += 1
+        points.append((Fraction(false_pos, negatives), Fraction(true_pos, positives)))
+    return tuple(points)
+
+
+def trapezoid_auc_oracle(points):
+    """Trapezoidal area under ROC points, summed in ``Fraction`` arithmetic."""
+    area = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2
+    return area

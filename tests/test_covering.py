@@ -176,6 +176,7 @@ def test_pairwise_self_similarity_is_one(a):
 def test_pairwise_examples():
     assert pairwise_similarity([1, 2, 3], [1, 2, 3]) == 1
     assert pairwise_similarity([1, 2], [3, 4]) == Fraction(1, 2)
+    assert pairwise_similarity([1], [2]) == 1  # one symbol each: a single segment
 
 
 def test_pairwise_in_unit_interval():

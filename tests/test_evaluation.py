@@ -2,19 +2,40 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_count_auc
-from seqcover import ConfigurationError, auc, auc_from_scores, histogram, rank_auc, roc_curve
+from oracles import pair_count_auc, trapezoid_auc_oracle, trapezoid_roc_oracle
+from seqcover import ConfigurationError, auc_from_scores, histogram, rank_auc, roc_curve
 
 scores = st.lists(st.integers(0, 8).map(lambda n: Fraction(n, 8)), min_size=1, max_size=30)
+
+EPSILON = Fraction(1, 2**80)
+
+
+@st.composite
+def mixed_score_classes(draw):
+    """Two classes drawn from one shared pool of ints, floats and Fractions,
+    so ties cross the classes. Each value also enters the pool nudged up by
+    EPSILON: a distinct score that rounds to the same float, unless the
+    value lies within about 2**-26 of zero."""
+    values = draw(st.lists(
+        st.one_of(
+            st.integers(-4, 4),
+            st.floats(-2, 2),
+            st.fractions(-2, 2, max_denominator=12),
+        ),
+        min_size=1, max_size=5,
+    ))
+    pool = values + [Fraction(value) + EPSILON for value in values]
+    drawn = st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    return draw(drawn), draw(drawn)
 
 
 def test_perfect_separation():
     curve = roc_curve([0, 0, 0], [1, 1])
     assert (Fraction(0), Fraction(1)) in curve.points
-    assert auc(curve) == 1
+    assert auc_from_scores([0, 0, 0], [1, 1]) == 1
 
 
 def test_constant_scores_give_half():
@@ -52,6 +73,31 @@ def test_empty_class_rejected():
 @given(scores, scores)
 def test_trapezoid_equals_rank_statistic(normals, attacks):
     assert auc_from_scores(normals, attacks) == rank_auc(normals, attacks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_score_classes())
+@example(([Fraction(1, 3) + EPSILON], [Fraction(1, 3)]))
+@example(([0.1, Fraction(1, 10), 1], [Fraction(1, 10), Fraction(0.1) + EPSILON, 1.0]))
+def test_sweep_is_exact_on_mixed_scores(classes):
+    for normals, attacks in (classes, classes[::-1]):
+        assert roc_curve(normals, attacks).points == trapezoid_roc_oracle(normals, attacks)
+        area = auc_from_scores(normals, attacks)
+        assert area == trapezoid_auc_oracle(trapezoid_roc_oracle(normals, attacks))
+        assert area == rank_auc(normals, attacks)
+
+
+@pytest.mark.parametrize("function", [roc_curve, auc_from_scores, rank_auc])
+@pytest.mark.parametrize("bad, error", [
+    (float("nan"), ValueError),
+    (float("inf"), OverflowError),
+    (float("-inf"), OverflowError),
+])
+def test_non_finite_scores_rejected(function, bad, error):
+    with pytest.raises(error):
+        function([Fraction(1, 2), bad], [Fraction(1, 4)])
+    with pytest.raises(error):
+        function([Fraction(1, 2)], [bad, Fraction(1, 4)])
 
 
 @settings(max_examples=100, deadline=None)
