@@ -13,21 +13,25 @@ baseline's its own copy of the training list and each query's best score
 so far. Each later iteration extends it with exactly the batch the previous
 one moved, so SC4ID's index is the one a fresh build would give, and a
 baseline scores each query only against the references added since its
-cached best. The scorer checks the time budget's deadline before each
-sequence. Only normal data enters training; attacks are scored but never
-selected. The AUC is recorded twice: over all attacks, and excluding
-attacks whose similarity is exactly 1 at that iteration (verbatim
+cached best. The pool is a dict keyed by source_id, in load order, and a
+moved sequence leaves it by ``pop``. The loop, not the scorer, checks the
+time budget's deadline before each sequence it hands over, and drops an
+iteration cut short. Only normal data enters training; attacks are scored
+but never selected. The AUC is recorded twice: over all attacks, and
+excluding attacks whose similarity is exactly 1 at that iteration (verbatim
 substrings of the training data, which no history-based score can
 separate).
 """
 
+import heapq
 import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from itertools import takewhile
+from typing import Callable, Iterable
 
 from .baselines import BaselineKind, nearest_similarity_to_set
 from .detector import DetectorConfig, ScoredSequence, _as_fraction, anomaly_score, score_batch
@@ -36,8 +40,8 @@ from .evaluation import auc_from_scores
 from .model import NormalModel
 from .traces import Dataset, Sequence
 
-METHODS = ("SC4ID", "LEV", "LCSq", "LCSt")
-_BASELINE_BY_METHOD = {"LEV": BaselineKind.LEV, "LCSq": BaselineKind.LCSQ, "LCSt": BaselineKind.LCST}
+_BASELINE_BY_METHOD = {kind.value: kind for kind in BaselineKind}
+METHODS = ("SC4ID", *_BASELINE_BY_METHOD)
 
 
 @dataclass(frozen=True)
@@ -105,14 +109,14 @@ class EnrichmentTrace:
 
 
 def select_worst_k(scored: list[ScoredSequence], k: int) -> list[ScoredSequence]:
-    """The min(k, len) items with the lowest similarity; ties break toward
-    the lexicographically smaller source_id for determinism."""
+    """The min(k, len) items with the lowest similarity, ascending; ties
+    break toward the lexicographically smaller source_id for determinism.
+    The same list as ``sorted(scored, key=...)[:k]``, without the full sort."""
     if not scored:
         raise ValueError("select_worst_k over an empty scored list")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = sorted(scored, key=lambda item: (item.similarity, item.source_id))
-    return ranked[: min(k, len(ranked))]
+    return heapq.nsmallest(k, scored, key=lambda item: (item.similarity, item.source_id))
 
 
 def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Sequence], list[Sequence]]:
@@ -142,27 +146,7 @@ def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Seq
     return train, rest
 
 
-class _BudgetExpired(Exception):
-    """The per-method time budget ran out while an iteration was being scored."""
-
-
-class _Scorer:
-    """A method's scorer. It holds its own training set, which ``extend``
-    grows by each moved batch. ``score`` keeps input order and raises
-    ``_BudgetExpired`` once ``deadline``, a ``time.perf_counter`` reading
-    checked before each sequence, has passed."""
-
-    def score(self, seqs, deadline: float) -> list[ScoredSequence]:
-        def in_time():
-            for seq in seqs:
-                if time.perf_counter() > deadline:
-                    raise _BudgetExpired
-                yield seq
-
-        return self._score_all(in_time())
-
-
-class _CoveringScorer(_Scorer):
+class _CoveringScorer:
     """SC4ID: the covering similarity against one NormalModel per run."""
 
     def __init__(self, sigma: DetectorConfig, train: list[Sequence]):
@@ -171,11 +155,11 @@ class _CoveringScorer(_Scorer):
     def extend(self, batch: list[Sequence]) -> None:
         self.model.extend(batch)
 
-    def _score_all(self, seqs) -> list[ScoredSequence]:
+    def score(self, seqs: Iterable[Sequence]) -> list[ScoredSequence]:
         return score_batch(self.model, self.sigma, seqs)
 
 
-class _BaselineScorer(_Scorer):
+class _BaselineScorer:
     """LEV, LCSq or LCSt: the similarity to the nearest training sequence.
 
     The training list only grows, and the max over S + B is the larger of
@@ -200,12 +184,12 @@ class _BaselineScorer(_Scorer):
             self.best[seq.symbols] = best, len(self.references)
         return best
 
-    def _score_all(self, seqs) -> list[ScoredSequence]:
+    def score(self, seqs: Iterable[Sequence]) -> list[ScoredSequence]:
         scored = [(seq.source_id, self._nearest(seq)) for seq in seqs]
         return [ScoredSequence(source_id, value, None, self.sigma.verdict(value)) for source_id, value in scored]
 
 
-def _scorer_factory(method: str) -> Callable[[DetectorConfig, list[Sequence]], _Scorer]:
+def _scorer_factory(method: str) -> Callable[[DetectorConfig, list[Sequence]], _CoveringScorer | _BaselineScorer]:
     """``(sigma, train) -> scorer`` for the method; the one reader of its name."""
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -227,43 +211,39 @@ def run_enrichment(
     retain every score.
     """
     new_scorer = _scorer_factory(method)
-    train, pool = _initial_split(dataset, config)
-
-    train_size = len(train)
-    total_normals = train_size + len(pool)
+    train, rest = _initial_split(dataset, config)
+    pool = {seq.source_id: seq for seq in rest}  # insertion order is scoring order
+    total_normals = len(train) + len(pool)
     sigma = DetectorConfig()
 
     records: list[EnrichmentRecord] = []
     truncated = aborted = False
-    iteration = 0
-    scorer: _Scorer | None = None
+    scorer: _CoveringScorer | _BaselineScorer | None = None
     moved: list[Sequence] = []
     budget = config.time_budget_seconds
     deadline = time.perf_counter() + (math.inf if budget is None else budget)
+
+    def in_time(_) -> bool:
+        # the initial evaluation always runs; the deadline gates each
+        # sequence a later iteration scores
+        return not records or time.perf_counter() <= deadline
 
     while True:
         if not pool:
             truncated = True  # nothing left to score or to select from
             break
-        # the initial evaluation always runs; the deadline gates the rest,
-        # both before an iteration and before each sequence it scores, and
-        # an iteration cut short is dropped
-        step_deadline = deadline if records else math.inf
-        if time.perf_counter() > step_deadline:
-            aborted = True
-            break
 
+        iteration, train_size = len(records), total_normals - len(pool)
         step_started = time.perf_counter()
         # one scorer per run: each step appends what the previous one moved
         if scorer is None:
             scorer = new_scorer(sigma, train)
         else:
             scorer.extend(moved)
-        try:
-            scored_pool = scorer.score(pool, step_deadline)
-            scored_attacks = scorer.score(dataset.attacks, step_deadline)
-        except _BudgetExpired:
-            aborted = True
+        scored_pool = scorer.score(takewhile(in_time, pool.values()))
+        scored_attacks = scorer.score(takewhile(in_time, dataset.attacks))
+        if len(scored_pool) < len(pool) or len(scored_attacks) < len(dataset.attacks):
+            aborted = True  # the budget expired mid-iteration, which is dropped
             break
 
         normal_anomaly = [anomaly_score(item.similarity) for item in scored_pool]
@@ -281,9 +261,7 @@ def run_enrichment(
         added: tuple[str, ...] = ()
         if not stop:
             added = tuple(item.source_id for item in select_worst_k(scored_pool, config.batch_size))
-            by_id = {seq.source_id: seq for seq in pool}
-            moved = [by_id.pop(source_id) for source_id in added]
-            pool = list(by_id.values())
+            moved = [pool.pop(source_id) for source_id in added]
 
         record = EnrichmentRecord(
             iteration=iteration, train_size=train_size, train_fraction=Fraction(train_size, total_normals),
@@ -293,7 +271,5 @@ def run_enrichment(
             on_iteration(record, scored_pool, scored_attacks)
         if stop:
             break
-        train_size += len(moved)
-        iteration += 1
 
     return EnrichmentTrace(method, tuple(records), total_normals, truncated, aborted)

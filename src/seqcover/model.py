@@ -1,4 +1,4 @@
-"""The normal model: the reference set S plus its suffix index."""
+"""The normal model: the suffix index over the reference set S."""
 
 from typing import Iterable
 
@@ -7,25 +7,19 @@ from .traces import Sequence
 
 
 class NormalModel:
-    """Set of normal sequences with a generalized suffix index over them.
+    """A generalized suffix index over a set of normal sequences.
 
-    Scoring only reads a model. ``extend`` grows S in place, sequences and
-    index together; enrichment builds one model per run and extends it with
-    each batch it moves into training, instead of rebuilding the index over
-    the whole training set every iteration.
+    Scoring only reads a model. ``extend`` appends sequences to the index in
+    place; enrichment builds one model per run and extends it with each
+    batch it moves into training, instead of rebuilding the index over the
+    whole training set every iteration. The model keeps no copy of S.
     """
 
-    __slots__ = ("sequences", "index")
+    __slots__ = ("index",)
 
     def __init__(self, sequences: Iterable[Sequence] = ()):
-        self.sequences: tuple[Sequence, ...] = tuple(sequences)
-        self.index = GeneralizedSuffixIndex(self.sequences)
+        self.index = GeneralizedSuffixIndex(sequences)
 
     def extend(self, sequences: Iterable[Sequence]) -> None:
         """Add sequences to S; the index then equals a fresh build over all of S."""
-        added = tuple(sequences)
-        self.sequences += added
-        self.index.extend(added)
-
-    def __len__(self) -> int:
-        return len(self.sequences)
+        self.index.extend(sequences)

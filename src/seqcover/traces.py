@@ -191,6 +191,7 @@ def load_dataset(train_dir, validation_dir, attack_dir, one_trace_per: str = "fi
     labelled = list(_read(Path(attack_dir), one_trace_per))
     attacks = [seq for _, seq in labelled]
 
+    loaded = len(validation)
     train = deduplicate(train)
     validation = deduplicate(validation)
     train_contents = {seq.symbols for seq in train}
@@ -198,8 +199,11 @@ def load_dataset(train_dir, validation_dir, attack_dir, one_trace_per: str = "fi
 
     if not train:
         raise ConfigurationError(f"no training sequences loaded from {train_dir}")
-    if validation_dir and not validation:
+    if validation_dir and not loaded:
         raise ConfigurationError(f"no validation sequences loaded from {validation_dir}")
+    if validation_dir and not validation:
+        raise ConfigurationError(
+            f"all {loaded} validation sequences loaded from {validation_dir} duplicate training sequences")
     if not attacks:
         raise ConfigurationError(f"no attack sequences loaded from {attack_dir}")
 

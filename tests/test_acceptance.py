@@ -258,7 +258,8 @@ def _best_time(fn, repeats):
 def test_criterion_9_scaling_sanity():
     rng = random.Random(SEED + 9)
     base = [tuple(rng.randrange(8) for _ in range(15000)) for _ in range(8)]
-    model = NormalModel(tuple(Sequence(b, f"b{i}") for i, b in enumerate(base)))
+    normals = tuple(Sequence(b, f"b{i}") for i, b in enumerate(base))
+    model = NormalModel(normals)
 
     def make_test(n):
         # eight long chunks copied from the model, each ended by a symbol the
@@ -297,7 +298,7 @@ def test_criterion_9_scaling_sanity():
     # per-query time must not depend on |S|: double the indexed mass with
     # sequences over a disjoint alphabet (same coverings, bigger tree)
     doubled = NormalModel(
-        model.sequences
+        normals
         + tuple(
             Sequence(tuple(rng.randrange(100, 108) for _ in range(15000)), f"e{i}")
             for i in range(8)

@@ -385,3 +385,16 @@ def test_init_fraction_rejected_under_fixed_init_before_writing(synthetic_corpus
     assert main(_protocol_argv(command, synthetic_corpus, out, "--init", "fixed", "--init-fraction", "5")) == 2
     assert "--init-fraction applies only to --init random" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_enrich_names_validation_that_only_duplicates_training(tmp_path, capsys):
+    _write(tmp_path / "train", "t0.txt", "1 2 3 4")
+    _write(tmp_path / "val", "v0.txt", "1 2 3 4")
+    _write(tmp_path / "attack", "a0.txt", "9 9 9")
+    out = tmp_path / "dup_val"
+    assert main(["enrich", "--train-dir", str(tmp_path / "train"), "--validation-dir", str(tmp_path / "val"),
+                 "--attack-dir", str(tmp_path / "attack"), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "all 1 validation sequences loaded from" in err
+    assert "duplicate training sequences" in err
+    assert not out.exists()

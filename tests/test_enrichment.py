@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -45,6 +44,15 @@ class TestSelectWorstK:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             select_worst_k([], 1)
+
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            select_worst_k([_scored("a", 1)], 0)
+
+    def test_tie_at_the_cut_is_ascending(self):
+        scored = [_scored("d", Fraction(1, 2)), _scored("b", Fraction(1, 3)),
+                  _scored("c", Fraction(1, 2)), _scored("a", Fraction(9, 10))]
+        assert [s.source_id for s in select_worst_k(scored, 2)] == ["b", "c"]
 
 
 def disjoint_dataset():
@@ -185,8 +193,12 @@ def test_time_budget_aborts():
     assert len(trace.records) == 1  # the first iteration runs, the second is refused
 
 
-@pytest.mark.parametrize("method", ["SC4ID", "LEV", "LCSq", "LCSt"])
-def test_time_budget_cuts_an_iteration_short(monkeypatch, method):
+@pytest.mark.parametrize("method, refused", [
+    pytest.param(method, refused, id=method if refused == "6th pool sequence" else f"{method}-{refused}")
+    for refused in ("6th pool sequence", "first attack", "last attack")
+    for method in ("SC4ID", "LEV", "LCSq", "LCSt")
+])
+def test_time_budget_cuts_an_iteration_short(monkeypatch, method, refused):
     import seqcover.detector as detector
     import seqcover.enrichment as enrichment
 
@@ -194,12 +206,17 @@ def test_time_budget_cuts_an_iteration_short(monkeypatch, method):
     module, name = (detector, "classify") if method == "SC4ID" else (enrichment, "nearest_similarity_to_set")
     scorer = getattr(module, name)
     first_iteration = len(ds.normal_validation) + len(ds.attacks)
+    # iteration 1 scores the 7 pool sequences left after one move, then the
+    # 4 attacks; the clock jumps while the last one in time is scored
+    pool_left = len(ds.normal_validation) - 1
+    in_time = {"6th pool sequence": 5, "first attack": pool_left,
+               "last attack": pool_left + len(ds.attacks) - 1}[refused]
     clock = [0.0]
     scored = [0]
 
     def counting_scorer(*args, **kwargs):
         scored[0] += 1
-        if scored[0] == first_iteration + 5:  # iteration 1 scores 11 sequences
+        if scored[0] == first_iteration + in_time:
             clock[0] = 100.0
         return scorer(*args, **kwargs)
 
@@ -210,8 +227,8 @@ def test_time_budget_cuts_an_iteration_short(monkeypatch, method):
         method=method,
     )
     assert trace.aborted
-    assert len(trace.records) == 1  # iteration 1 expired halfway and is not recorded
-    assert scored[0] == first_iteration + 5
+    assert len(trace.records) == 1  # iteration 1 expired partway and is not recorded
+    assert scored[0] == first_iteration + in_time
 
 
 def test_duplicate_source_ids_rejected():
@@ -395,7 +412,7 @@ def test_baseline_scorer_equals_nearest_over_all_references(kind, contents, init
                 scorer.extend(batch)
                 references = references + batch
                 continue
-            scored = scorer.score(batch, math.inf)
+            scored = scorer.score(batch)
             assert [item.source_id for item in scored] == [seq.source_id for seq in batch]
             for seq, item in zip(batch, scored):
                 assert item.similarity == nearest(kind, references, seq)
