@@ -8,7 +8,6 @@ public-corpus layout, e.g. Attack_Data_Master/Adduser_1/...).
 """
 
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -16,8 +15,6 @@ from typing import Iterable, Iterator
 from .errors import ConfigurationError, TraceParseError
 
 log = logging.getLogger(__name__)
-
-_TOKEN = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -80,33 +77,35 @@ class Dataset:
             raise ValueError("attack_categories must align with attacks")
 
 
-def parse_trace(text: str, source_id: str = "") -> Sequence:
-    """Parse whitespace-separated decimal symbols into a Sequence.
+class _TokenTable(dict):
+    """token -> symbol for one load, so each distinct token is checked and
+    converted once (int() itself refuses more than 4,300 digits)."""
 
-    Raises TraceParseError on any non-integer or negative token, naming the
-    token and its character offset. Empty input parses to an empty Sequence.
-    """
+    def __missing__(self, token: str) -> int:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError("not ASCII decimal digits")
+        value = self[token] = int(token)
+        return value
+
+
+def _parse(text: str, source_id: str, table: _TokenTable) -> Sequence:
     try:
-        # Sequence raises ValueError on a negative symbol, int() on a bad token
-        return Sequence(tuple(map(int, text.split())), source_id)
-    except ValueError:
-        pass  # the loop below finds the offending token and names it
-    where = f" in {source_id}" if source_id else ""
-    symbols = []
-    for match in _TOKEN.finditer(text):
-        token = match.group()
-        try:
-            value = int(token, 10)
-        except ValueError:
-            raise TraceParseError(
-                f"non-integer token {token!r} at offset {match.start()}{where}"
-            ) from None
-        if value < 0:
-            raise TraceParseError(
-                f"negative system-call number {token!r} at offset {match.start()}{where}"
-            )
-        symbols.append(value)
-    return Sequence(tuple(symbols), source_id)
+        return Sequence(tuple(map(table.__getitem__, text.split())), source_id)
+    except ValueError as exc:
+        # the refused token is the first one the table lacks; no accepted token
+        # (ASCII digits that int() took) contains it, so it first occurs in place
+        token = next(token for token in text.split() if token not in table)
+        where = f" in {source_id}" if source_id else ""
+        raise TraceParseError(
+            f"bad token {token!r} at offset {text.index(token)}{where}: {exc}") from None
+
+
+def parse_trace(text: str, source_id: str = "") -> Sequence:
+    """Parse a trace into a Sequence. Tokens are those of ``str.split()``
+    and must be ASCII decimal digits: signs, underscores and non-ASCII
+    digits are refused. TraceParseError names the first bad token, its
+    character offset and ``source_id``. Empty text gives an empty Sequence."""
+    return _parse(text, source_id, _TokenTable())
 
 
 def as_symbols(s) -> tuple[int, ...]:
@@ -145,6 +144,8 @@ def _read(root: Path, one_trace_per: str) -> Iterator[tuple[str | None, Sequence
     """(category, trace) pairs from root, a trace file or a directory walked
     recursively in sorted path order. The category is the subdirectory of
     root that holds the file, None for a file directly in root."""
+    if one_trace_per not in ("file", "line"):
+        raise ConfigurationError(f"one_trace_per must be 'file' or 'line', got {one_trace_per!r}")
     if root.is_dir():
         # sorted for deterministic dataset order regardless of filesystem
         paths = sorted(p for p in root.rglob("*") if p.is_file())
@@ -152,14 +153,13 @@ def _read(root: Path, one_trace_per: str) -> Iterator[tuple[str | None, Sequence
         paths = [root]
     else:
         raise ConfigurationError(f"not a directory or a trace file: {root}")
-    if one_trace_per not in ("file", "line"):
-        raise ConfigurationError(f"one_trace_per must be 'file' or 'line', got {one_trace_per!r}")
+    table = _TokenTable()  # one for every file of the walk
     depth = len(root.parts)
     for path in paths:
         category = path.parts[depth] if len(path.parts) > depth + 1 else None
         text = read_trace_text(path)
         if one_trace_per == "file":
-            seq = parse_trace(text, str(path))
+            seq = _parse(text, str(path), table)
             if len(seq) == 0:
                 log.warning("dropping empty trace %s", path)
                 continue
@@ -168,7 +168,7 @@ def _read(root: Path, one_trace_per: str) -> Iterator[tuple[str | None, Sequence
             for lineno, line in enumerate(text.splitlines(), start=1):
                 if not line.strip():
                     continue
-                yield category, parse_trace(line, f"{path}:{lineno}")
+                yield category, _parse(line, f"{path}:{lineno}", table)
 
 
 def load_traces(path, one_trace_per: str = "file") -> list[Sequence]:

@@ -1,5 +1,6 @@
-"""Golden outputs: ``enrich`` and ``compare`` on a small seeded corpus must
-write the same bytes as the recorded run, apart from wall-clock columns.
+"""Golden outputs: ``detect``, ``enrich`` and ``compare`` on a small seeded
+corpus must write the same bytes as the recorded run, apart from wall-clock
+columns and the corpus's own location.
 
 The corpus is built so that the CSVs say something: normals and attacks
 share most of their alphabet (every AUC lies strictly between 0 and 1), one
@@ -11,13 +12,17 @@ and the runs take 4 iterations at batch size 2.
 import csv
 import hashlib
 import io
+import json
 import random
+from pathlib import Path
 
 from seqcover.cli import main
 
 # sha256 of every CSV an unchanged run writes, elapsed_seconds columns dropped
 ENRICH_DIGEST = "2e4af32e42ae4a29904e5a0cdc21b11cff488485f011a228dbc77ae2cf50a783"
 COMPARE_DIGEST = "559e3ddbdb042719a25f3dc6e22835f8a105e89b808d8378fababa99193ac0e1"
+# sha256 of detect's scores.jsonl for validation/ then attack/, source_ids relative to the corpus
+DETECT_DIGEST = "25d55fe4da109ffc8fbd77b02ae2dbf1429da211505ab2e4a094ddc73706cb7c"
 
 PROTOCOL = ["--batch-size", "2", "--stop-iterations", "4", "--seed", "5"]
 
@@ -63,6 +68,21 @@ def _digest(out_dir):
         for row in rows:
             digest.update((",".join(row[i] for i in keep) + "\n").encode())
     return digest.hexdigest()
+
+
+def test_detect_writes_the_recorded_outputs(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    _corpus(root)
+    digest = hashlib.sha256()
+    for split in ("validation", "attack"):
+        out = tmp_path / f"detect_{split}"
+        assert main(["detect", "--model-dir", str(root / "train"), "--traces", str(root / split),
+                     "--out-dir", str(out)]) == 0
+        for line in (out / "scores.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            record["source_id"] = Path(record["source_id"]).relative_to(root).as_posix()
+            digest.update((json.dumps(record) + "\n").encode())
+    assert digest.hexdigest() == DETECT_DIGEST
 
 
 def test_enrich_writes_the_recorded_outputs(tmp_path, capsys):

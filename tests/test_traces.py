@@ -1,5 +1,9 @@
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcover import (
@@ -11,14 +15,25 @@ from seqcover import (
     load_traces,
     parse_trace,
 )
+from seqcover import traces
 
 symbol_lists = st.lists(st.integers(min_value=0, max_value=5000), max_size=60)
 
 # every code point that str.split() treats as a separator
 SPLIT_WHITESPACE = [chr(c) for c in range(0x110000) if not chr(c).split()]
+# tokens int() reads that the token rule refuses: a sign, an underscore, non-ASCII digits
+INT_ONLY_TOKENS = ["+5", "1_000", "\u0663", "\uff13"]
 trace_texts = st.lists(
-    st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(SPLIT_WHITESPACE), st.characters()),
+    st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(SPLIT_WHITESPACE), st.characters(),
+              st.sampled_from(["+", "-", "_", "\u0663", "\uff13"])),
     max_size=20,
+).map("".join)
+# file contents: few distinct symbols, so that files of one load share tokens
+file_texts = st.lists(
+    st.one_of(st.integers(0, 12).map(str), st.integers(0, 12).map(str),
+              st.sampled_from([" ", "\n", "\r\n", "\t", "\u00a0", "\x1c", "\u2028"]),
+              st.sampled_from(["x", "-3", *INT_ONLY_TOKENS])),
+    max_size=12,
 ).map("".join)
 
 
@@ -49,21 +64,21 @@ def test_parse_trace_tokens_are_those_of_str_split(text):
     # the tokens, and the first bad one named in the error, are those of text.split()
     values = []
     for token in text.split():
-        try:
-            value = int(token, 10)
-        except ValueError:
-            value = -1
-        if value < 0:
+        if not re.fullmatch("[0-9]+", token):  # the token rule: ASCII decimal digits
             with pytest.raises(TraceParseError) as error:
                 parse_trace(text)
             assert repr(token) in str(error.value)
             return
-        values.append(value)
+        values.append(int(token))
     assert parse_trace(text).symbols == tuple(values)
 
 
 def test_parse_trace_reads_tokens_as_int_does():
-    assert parse_trace("+5 1_000").symbols == (5, 1000)
+    # it does not: int() reads each of these, the token rule refuses each
+    for token in INT_ONLY_TOKENS:
+        assert int(token) >= 0
+        with pytest.raises(TraceParseError, match=re.escape(f"{token!r} at offset 4 in f")):
+            parse_trace(f"7 1 {token} 9", "f")
 
 
 def test_sequence_rejects_negative_symbols():
@@ -200,3 +215,67 @@ def test_load_traces_drops_lone_empty_file_with_warning(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         assert load_traces(tmp_path / "empty.txt") == []
     assert "empty" in caplog.text
+
+
+def test_load_traces_checks_the_mode_before_the_path(tmp_path):
+    with pytest.raises(ConfigurationError, match="one_trace_per must be 'file' or 'line', got 'bogus'"):
+        load_traces(tmp_path / "missing", "bogus")
+
+
+@pytest.mark.parametrize("one_trace_per", ["file", "line"])
+def test_load_traces_names_a_token_beyond_the_int_digit_limit(tmp_path, one_trace_per):
+    _write(tmp_path / "d", "a.txt", "1 2\n")
+    _write(tmp_path / "d", "b.txt", "1 2\n3 " + "9" * 5000 + " 4\n")
+    source = {"file": "b.txt", "line": "b.txt:2"}[one_trace_per]
+    offset = {"file": 6, "line": 2}[one_trace_per]
+    with pytest.raises(TraceParseError, match=rf"' at offset {offset} in \S*{re.escape(source)}: "):
+        load_traces(tmp_path / "d", one_trace_per)
+
+
+@pytest.mark.parametrize("one_trace_per", ["file", "line"])
+def test_load_traces_names_each_file_that_holds_a_bad_token(tmp_path, one_trace_per):
+    _write(tmp_path / "d", "a.txt", "1 x 2\n")
+    _write(tmp_path / "d", "b.txt", "1 2\n2 2 x\n")
+    with pytest.raises(TraceParseError, match=r"'x' at offset 2 in \S*a\.txt"):
+        load_traces(tmp_path / "d", one_trace_per)
+    _write(tmp_path / "d", "a.txt", "1 2\n")
+    source = {"file": r"b\.txt: ", "line": r"b\.txt:2: "}[one_trace_per]
+    offset = {"file": 8, "line": 4}[one_trace_per]
+    with pytest.raises(TraceParseError, match=rf"'x' at offset {offset} in \S*{source}"):
+        load_traces(tmp_path / "d", one_trace_per)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(file_texts, min_size=1, max_size=4), st.sampled_from(["file", "line"]))
+def test_load_traces_parses_each_file_as_parse_trace_does(texts, one_trace_per):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"f{i}.txt" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8")
+        expected = []
+        try:
+            for path in paths:
+                text = traces.read_trace_text(path)
+                if one_trace_per == "file":
+                    expected += [seq for seq in [parse_trace(text, str(path))] if seq.symbols]
+                else:
+                    expected += [parse_trace(line, f"{path}:{lineno}")
+                                 for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        except TraceParseError as error:
+            with pytest.raises(TraceParseError) as raised:
+                load_traces(tmp, one_trace_per)
+            assert str(raised.value) == str(error)
+        else:
+            assert load_traces(tmp, one_trace_per) == expected
+
+
+@pytest.mark.parametrize("one_trace_per", ["file", "line"])
+def test_load_converts_each_distinct_token_once_per_load(tmp_path, monkeypatch, one_trace_per):
+    converted = []
+    monkeypatch.setattr(traces, "int", lambda token: converted.append(token) or int(token), raising=False)
+    _write(tmp_path / "d", "a.txt", "300 7 300\n7 300\n")
+    _write(tmp_path / "d", "b.txt", "7 7 301\n")
+    for _ in range(2):
+        load_traces(tmp_path / "d", one_trace_per)
+        assert sorted(converted) == ["300", "301", "7"]  # once per load, not per occurrence
+        converted.clear()
