@@ -15,8 +15,8 @@ other side, ``b`` (m symbols), symbol by symbol:
   * LCSq -- the bit-vector LCS of Allison & Dix (1986) in Hyyrö's (2004)
             formulation: one n-bit vector marks where a DP column does not
             step up.
-  * LCSt -- b streamed through the suffix automaton of a, falling back
-            along suffix links on a mismatch: O(n + m).
+  * LCSt -- the suffix index of a, asked for the longest run of b it
+            holds (``longest_common_substring``): O(n + m).
 
 Both bit-vector kernels cost about ceil(n/w) * m word operations (w the
 machine word), done as a few Python big-int operations per symbol of b.
@@ -100,29 +100,8 @@ def _lcsq_to(a: PySequence) -> Callable[[PySequence], int]:
 
 
 def _lcst_to(a: PySequence) -> Callable[[PySequence], int]:
-    """``b -> LCSt(a, b)``, with the suffix automaton of a built once."""
-    index = GeneralizedSuffixIndex((a,))
-    nxt, link, length = index.next, index.link, index.length
-
-    def longest(b: PySequence) -> int:
-        state = 0
-        matched = 0
-        best = 0
-        for c in b:
-            while state and c not in nxt[state]:
-                state = link[state]
-                matched = length[state]
-            if c in nxt[state]:
-                state = nxt[state][c]
-                matched += 1
-                if matched > best:
-                    best = matched
-            else:
-                state = 0
-                matched = 0
-        return best
-
-    return longest
+    """``b -> LCSt(a, b)``, with the suffix index of a built once."""
+    return GeneralizedSuffixIndex((a,)).longest_common_substring
 
 
 def _similarity_to(kind: BaselineKind, query) -> Callable[..., Fraction]:

@@ -10,16 +10,15 @@ keyed by symbol, which keeps the construction alphabet-agnostic
 
 The automaton is the DAWG of Blumer et al. (1985): every substring of the
 indexed data spells exactly one path from state 0, and nothing else does.
-It answers two questions, both by a single walk from state 0, one dict
-lookup per symbol:
+It answers four questions; the arrays behind them are private to this
+module, so the layout can change without touching a caller:
 
-  * ``contains(q)``          -- is q a contiguous substring of any indexed
-                                sequence? O(|q|).
-  * ``longest_match_from``   -- how far does s[start:] match into the index?
-                                O(length of the match).
-
-Suffix links and state lengths (``link``, ``length``) also let a caller
-stream a whole sequence through the automaton, as the LCSt baseline does.
+  * ``contains(q)``, ``contains_range(q, i, j)`` -- is q, or q[i:j], a
+        contiguous substring of an indexed sequence? O(|q|).
+  * ``longest_match_from(s, i)`` -- how far does s[i:] match into the
+        index? O(length of the match).
+  * ``longest_common_substring(s)`` -- the longest contiguous run of s
+        that is indexed, streamed along suffix links. O(|s|).
 """
 
 from array import array
@@ -30,10 +29,10 @@ from .traces import as_symbols
 
 
 class GeneralizedSuffixIndex:
-    """Substring membership and maximal-prefix queries over a set of sequences.
+    """Substring, maximal-prefix and common-substring queries over a set of sequences.
 
-    ``next[v]`` maps a symbol to the state it leads to from state v,
-    ``link[v]`` is v's suffix link (-1 for state 0) and ``length[v]`` the
+    ``_next[v]`` maps a symbol to the state it leads to from state v,
+    ``_link[v]`` is v's suffix link (-1 for state 0) and ``_length[v]`` the
     length of the longest string that reaches v. ``extend`` appends
     sequences in place, and the result is the index a single build over all
     of them, in the same order, would give. Queries keep all their state in
@@ -44,9 +43,9 @@ class GeneralizedSuffixIndex:
         # Dicts holding only ints and sentinels, and int arrays, are not
         # tracked by the cyclic GC, so a large build triggers no collections
         # that would have to traverse the index built so far.
-        self.next: list[dict] = [{}]
-        self.link = array("q", [-1])
-        self.length = array("q", [0])
+        self._next: list[dict] = [{}]
+        self._link = array("q", [-1])
+        self._length = array("q", [0])
         self.sequence_count = 0
         self._last = 0  # the state of the whole data indexed so far
         self.extend(sequences)
@@ -68,7 +67,7 @@ class GeneralizedSuffixIndex:
     def _add(self, last: int, symbols: tuple[int, ...]) -> int:
         """Append symbols and a unique sentinel to the indexed data; returns
         the state of the whole data, from which the next sequence extends."""
-        nxt, link, length = self.next, self.link, self.length
+        nxt, link, length = self._next, self._link, self._length
         for sym in chain(symbols, (object(),)):
             cur = len(nxt)
             nxt.append({})
@@ -113,7 +112,7 @@ class GeneralizedSuffixIndex:
         """
         if not 0 <= start < end <= len(symbols):
             raise ValueError(f"range [{start}, {end}) invalid for length {len(symbols)}")
-        nxt = self.next
+        nxt = self._next
         state = 0
         for i in range(start, end):
             state = nxt[state].get(symbols[i])
@@ -131,7 +130,7 @@ class GeneralizedSuffixIndex:
         symbols = as_symbols(s)
         if not 0 <= start < len(symbols):
             raise ValueError(f"start {start} out of range for length {len(symbols)}")
-        nxt = self.next
+        nxt = self._next
         state = 0
         for i in range(start, len(symbols)):
             state = nxt[state].get(symbols[i])
@@ -139,13 +138,33 @@ class GeneralizedSuffixIndex:
                 return max(i - start, 1)
         return len(symbols) - start
 
+    def longest_common_substring(self, s) -> int:
+        """Length of the longest contiguous run of s that is indexed; 0 if none.
+
+        s streams through once: on a mismatch the walk falls back along
+        suffix links to the longest indexed suffix of what it has read that
+        the symbol extends, so the cost is O(|s|).
+        """
+        nxt, link, length = self._next, self._link, self._length
+        state = matched = best = 0  # matched is 0 whenever state is 0
+        for c in as_symbols(s):
+            while state and c not in nxt[state]:
+                state = link[state]
+                matched = length[state]
+            if c in nxt[state]:
+                state = nxt[state][c]
+                matched += 1
+                if matched > best:
+                    best = matched
+        return best
+
     # -- diagnostics ----------------------------------------------------
 
     def stats(self) -> dict[str, int]:
         """State/transition counts for memory profiling."""
         return {
-            "nodes": len(self.next),
-            "edges": sum(map(len, self.next)),
-            "indexed_symbols": max(self.length),  # the whole data reaches the last state
+            "nodes": len(self._next),
+            "edges": sum(map(len, self._next)),
+            "indexed_symbols": max(self._length),  # the whole data reaches the last state
             "sequences": self.sequence_count,
         }

@@ -95,9 +95,10 @@ def _parse(text: str, source_id: str, table: _TokenTable) -> Sequence:
         # the refused token is the first one the table lacks; no accepted token
         # (ASCII digits that int() took) contains it, so it first occurs in place
         token = next(token for token in text.split() if token not in table)
+        shown = token[:200] + "…" * (len(token) > 200)
         where = f" in {source_id}" if source_id else ""
         raise TraceParseError(
-            f"bad token {token!r} at offset {text.index(token)}{where}: {exc}") from None
+            f"bad token {shown!r} at offset {text.index(token)}{where}: {exc}") from None
 
 
 def parse_trace(text: str, source_id: str = "") -> Sequence:
@@ -165,7 +166,8 @@ def _read(root: Path, one_trace_per: str) -> Iterator[tuple[str | None, Sequence
                 continue
             yield category, seq
         else:
-            for lineno, line in enumerate(text.splitlines(), start=1):
+            # "\n" only: read_text maps \r\n and \r to it; splitlines() also splits on \f, U+2028...
+            for lineno, line in enumerate(text.split("\n"), start=1):
                 if not line.strip():
                     continue
                 yield category, _parse(line, f"{path}:{lineno}", table)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_contains, naive_longest_match
+from oracles import lcst_dp, naive_contains, naive_longest_match
 from seqcover import GeneralizedSuffixIndex, Sequence
 
 
@@ -184,3 +184,27 @@ def test_extend_equals_a_fresh_build(first, chunks, queries):
     for a, b in zip(indexed, indexed[1:]):
         glued = tuple(a[-3:] + b[:3])
         assert grown.contains(glued) == naive_contains(everything, glued)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=24), min_size=1, max_size=5),
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=12), min_size=1, max_size=3),
+    st.tuples(st.lists(st.integers(0, 5), max_size=5), st.integers(-3, -1), st.lists(st.integers(0, 5), max_size=5)),
+    st.data(),
+)
+def test_queries_of_a_grown_index_equal_naive_scans(seqs, queries, raw, data):
+    # some sequences at build time, the rest in 1 to 3 extend calls; query
+    # symbols 4 and 5 are never indexed, and the raw tuple holds a negative int
+    at_build = data.draw(st.integers(0, len(seqs)))
+    cuts = sorted(data.draw(st.lists(st.integers(at_build, len(seqs)), max_size=2)))
+    idx = GeneralizedSuffixIndex(seqs[:at_build])
+    for lo, hi in zip([at_build, *cuts], [*cuts, len(seqs)]):
+        idx.extend(seqs[lo:hi])
+    head, negative, tail = raw
+    for query in [*map(tuple, queries), (*head, negative, *tail)]:
+        for start in range(len(query)):
+            assert idx.longest_match_from(query, start) == naive_longest_match(seqs, query, start)
+            for end in range(start + 1, len(query) + 1):
+                assert idx.contains(query[start:end]) == naive_contains(seqs, query[start:end])
+        assert idx.longest_common_substring(query) == max(lcst_dp(a, query) for a in seqs)

@@ -189,6 +189,13 @@ def test_load_traces_per_line(tmp_path):
     assert seqs[1].source_id.endswith("multi.txt:3")
 
 
+def test_load_traces_per_line_ends_lines_at_newline_only(tmp_path):
+    # str.splitlines() would also end a line at U+2028 and at form feed
+    (tmp_path / "t.txt").write_text("1 2\u20283 4\n5 6\f7\n", encoding="utf-8")
+    seqs = load_traces(tmp_path / "t.txt", one_trace_per="line")
+    assert [(Path(s.source_id).name, s.symbols) for s in seqs] == [("t.txt:1", (1, 2, 3, 4)), ("t.txt:2", (5, 6, 7))]
+
+
 def test_load_traces_totals_match_disk(tmp_path):
     for i in range(6):
         _write(tmp_path / "d", f"f{i}.txt", f"{i} {i}")
@@ -245,6 +252,17 @@ def test_load_traces_names_each_file_that_holds_a_bad_token(tmp_path, one_trace_
         load_traces(tmp_path / "d", one_trace_per)
 
 
+@pytest.mark.parametrize("one_trace_per", ["file", "line"])
+def test_load_traces_echoes_at_most_200_characters_of_a_bad_token(tmp_path, one_trace_per):
+    _write(tmp_path / "d", "big.txt", "1 2 " + "x" * 1_000_000 + "\n")
+    with pytest.raises(TraceParseError) as raised:
+        load_traces(tmp_path / "d", one_trace_per)
+    message = str(raised.value)
+    assert len(message) < 1_000
+    assert "'" + "x" * 200 + "\u2026' at offset 4 in " in message
+    assert "big.txt" in message
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(file_texts, min_size=1, max_size=4), st.sampled_from(["file", "line"]))
 def test_load_traces_parses_each_file_as_parse_trace_does(texts, one_trace_per):
@@ -260,7 +278,7 @@ def test_load_traces_parses_each_file_as_parse_trace_does(texts, one_trace_per):
                     expected += [seq for seq in [parse_trace(text, str(path))] if seq.symbols]
                 else:
                     expected += [parse_trace(line, f"{path}:{lineno}")
-                                 for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+                                 for lineno, line in enumerate(text.split("\n"), start=1) if line.strip()]
         except TraceParseError as error:
             with pytest.raises(TraceParseError) as raised:
                 load_traces(tmp, one_trace_per)
