@@ -13,7 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .covering import ratio_str
 from .detector import ANOMALY, DetectorConfig, anomaly_score, classify, score_batch
 from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, _initial_split, run_enrichment
 from .errors import ConfigurationError, TraceParseError
@@ -22,19 +21,22 @@ from .model import NormalModel
 from .traces import Dataset, load_dataset, load_traces
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
-    skip = {"func"}
+def _open_out_dir(args: argparse.Namespace) -> Path:
+    """Create ``--out-dir`` and write its ``manifest.json``; call once every check has passed."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "tool": "seqcover",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "args": {
             key: (str(value) if isinstance(value, Path) else value)
             for key, value in sorted(vars(args).items())
-            if key not in skip
+            if key != "func"
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return out_dir
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -56,15 +58,9 @@ def _load_model(model_dir, one_trace_per: str) -> NormalModel:
 
 
 def _cover_record(model: NormalModel, trace) -> dict:
-    scored = classify(model, DetectorConfig(), trace)  # the verdict is not reported
-    return {
-        "source_id": trace.source_id,
-        "length": len(trace),
-        "covering_size": scored.covering.size,
-        "segments": [list(seg) for seg in scored.covering.segments],
-        "similarity": ratio_str(scored.similarity),
-        "similarity_decimal": f"{float(scored.similarity):.6f}",
-    }
+    record = {**classify(model, DetectorConfig(), trace).as_record(), "length": len(trace)}
+    keys = ("source_id", "length", "covering_size", "segments", "similarity", "similarity_decimal")
+    return {key: record[key] for key in keys}  # the verdict is not reported
 
 
 def cmd_cover(args) -> int:
@@ -76,19 +72,16 @@ def cmd_cover(args) -> int:
     line = json.dumps(record)
     print(line)
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "covering.json").write_text(line + "\n")
-        _write_manifest(out_dir, "cover", args)
+        (_open_out_dir(args) / "covering.json").write_text(line + "\n")
     return 0
 
 
 def cmd_detect(args) -> int:
+    config = DetectorConfig(args.sigma)
     model = _load_model(args.model_dir, args.one_trace_per)
     batch = load_traces(args.traces, args.one_trace_per)
     if not batch:
         raise ConfigurationError(f"no traces loaded from {args.traces}")
-    config = DetectorConfig(args.sigma)
     scored = score_batch(model, config, batch)
     lines = [json.dumps(item.as_record()) for item in scored]
     for line in lines:
@@ -100,19 +93,12 @@ def cmd_detect(args) -> int:
         file=sys.stderr,
     )
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "scores.jsonl").write_text("\n".join(lines) + "\n")
-        _write_manifest(out_dir, "detect", args)
+        (_open_out_dir(args) / "scores.jsonl").write_text("\n".join(lines) + "\n")
     return 0
 
 
-def _dataset_from_args(args) -> Dataset:
-    return load_dataset(args.train_dir, args.validation_dir, args.attack_dir,
-                        one_trace_per=args.one_trace_per)
-
-
-def _enrichment_config(args, time_budget_seconds: float | None = None) -> EnrichmentConfig:
+def _protocol_prologue(args, time_budget_seconds: float | None = None) -> tuple[Dataset, EnrichmentConfig, Path]:
+    """Check the settings, then the data, and only then create ``--out-dir``."""
     stop_fraction = args.stop_fraction
     if stop_fraction is None and args.stop_iterations is None:
         stop_fraction = 0.5
@@ -121,7 +107,7 @@ def _enrichment_config(args, time_budget_seconds: float | None = None) -> Enrich
         raise ConfigurationError("--init-fraction applies only to --init random")
     if args.init == "random" and init_fraction is None:
         init_fraction = 0.1
-    return EnrichmentConfig(
+    config = EnrichmentConfig(
         init_fraction=init_fraction,
         batch_size=args.batch_size,
         stop_train_fraction=stop_fraction,
@@ -129,6 +115,10 @@ def _enrichment_config(args, time_budget_seconds: float | None = None) -> Enrich
         rng_seed=args.seed,
         time_budget_seconds=time_budget_seconds,
     )
+    dataset = load_dataset(args.train_dir, args.validation_dir, args.attack_dir,
+                           one_trace_per=args.one_trace_per)
+    _initial_split(dataset, config)
+    return dataset, config, _open_out_dir(args)
 
 
 def _iteration_writer(out_dir: Path, bins: int):
@@ -157,12 +147,7 @@ def _write_trace_csv(path: Path, trace: EnrichmentTrace) -> None:
 
 
 def cmd_enrich(args) -> int:
-    dataset = _dataset_from_args(args)
-    config = _enrichment_config(args)
-    _initial_split(dataset, config)  # fail on the data before writing anything
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "enrich", args)
+    dataset, config, out_dir = _protocol_prologue(args)
     trace = run_enrichment(
         dataset, config,
         on_iteration=_iteration_writer(out_dir, args.bins),
@@ -193,12 +178,7 @@ def _parse_methods(raw: str) -> list[str]:
 
 def cmd_compare(args) -> int:
     methods = _parse_methods(args.methods)
-    dataset = _dataset_from_args(args)
-    config = _enrichment_config(args, args.per_method_budget_seconds)
-    _initial_split(dataset, config)  # fail on the data before writing anything
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "compare", args)
+    dataset, config, out_dir = _protocol_prologue(args, args.per_method_budget_seconds)
 
     traces: dict[str, EnrichmentTrace] = {}
     for method in methods:

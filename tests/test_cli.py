@@ -190,6 +190,22 @@ def test_detect_names_sigma_without_finite_rational(worked_example, capsys):
     assert "error: sigma must be a finite number, got 'nan'" in capsys.readouterr().err
 
 
+def test_detect_checks_sigma_before_reading_traces(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main(["detect", "--model-dir", missing, "--traces", missing, "--sigma", "2"]) == 2
+    assert "error: sigma must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enrich", "compare"])
+def test_protocol_checks_settings_before_reading_traces(tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    out = tmp_path / "out"
+    assert main([command, "--train-dir", str(missing / "train"), "--validation-dir", str(missing / "val"),
+                 "--attack-dir", str(missing / "attack"), "--batch-size", "0", "--out-dir", str(out)]) == 2
+    assert "error: batch_size must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_writes_outputs(worked_example, tmp_path, capsys):
     model, traces = worked_example
     out = tmp_path / "out"
