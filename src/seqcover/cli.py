@@ -64,11 +64,10 @@ def _cover_record(model: NormalModel, trace) -> dict:
 
 
 def cmd_cover(args) -> int:
-    model = _load_model(args.model_dir, args.one_trace_per)
     traces = load_traces(args.trace, args.one_trace_per)
     if len(traces) != 1:
         raise ConfigurationError(f"cover needs exactly one non-empty trace, {args.trace} holds {len(traces)}")
-    record = _cover_record(model, traces[0])
+    record = _cover_record(_load_model(args.model_dir, args.one_trace_per), traces[0])
     line = json.dumps(record)
     print(line)
     if args.out_dir:
@@ -206,10 +205,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _positive_int(raw: str) -> int:
+MAX_BINS = 10_000  # each iteration writes one histogram row per bin
+
+
+def _bin_count(raw: str) -> int:
     value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= MAX_BINS:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_BINS}], got {value}")
     return value
 
 
@@ -266,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enrich = commands.add_parser("enrich", help="run the model-enrichment protocol")
     _add_protocol_flags(enrich)
-    enrich.add_argument("--bins", type=_positive_int, default=20,
-                        help="histogram bin count for per-iteration outputs (default: 20)")
+    enrich.add_argument("--bins", type=_bin_count, default=20,
+                        help=f"histogram bin count for per-iteration outputs, 1 to {MAX_BINS} (default: 20)")
     enrich.set_defaults(func=cmd_enrich)
 
     compare = commands.add_parser("compare", help="enrichment runs for several similarity methods")

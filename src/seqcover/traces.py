@@ -2,9 +2,9 @@
 
 A trace is a plain-text file of whitespace-separated decimal system-call
 numbers. A dataset is up to three directories of traces: normal training,
-normal validation and attacks. Attack traces pick up a category label from
-the subdirectory of the attack directory they sit in (the usual
-public-corpus layout, e.g. Attack_Data_Master/Adduser_1/...).
+normal validation and attacks. Each is read the same way, recursively, so
+attack traces may sit in subdirectories (the usual public-corpus layout,
+e.g. Attack_Data_Master/Adduser_1/...); they are all one class.
 """
 
 import logging
@@ -54,27 +54,16 @@ class Sequence:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Loaded trace corpus: normal training/validation splits plus attacks.
-
-    ``attack_categories`` is aligned with ``attacks`` (None when an attack
-    trace sits directly in the attack directory).
-    """
+    """Loaded trace corpus: normal training/validation splits plus attacks."""
 
     normal_train: tuple[Sequence, ...]
     normal_validation: tuple[Sequence, ...]
     attacks: tuple[Sequence, ...]
-    attack_categories: tuple[str | None, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         object.__setattr__(self, "normal_train", tuple(self.normal_train))
         object.__setattr__(self, "normal_validation", tuple(self.normal_validation))
         object.__setattr__(self, "attacks", tuple(self.attacks))
-        cats = self.attack_categories
-        if cats is None:
-            cats = (None,) * len(self.attacks)
-        object.__setattr__(self, "attack_categories", tuple(cats))
-        if len(self.attack_categories) != len(self.attacks):
-            raise ValueError("attack_categories must align with attacks")
 
 
 class _TokenTable(dict):
@@ -141,10 +130,9 @@ def read_trace_text(path: Path) -> str:
         raise TraceParseError(f"{path} is not a UTF-8 text trace: {exc}") from None
 
 
-def _read(root: Path, one_trace_per: str) -> Iterator[tuple[str | None, Sequence]]:
-    """(category, trace) pairs from root, a trace file or a directory walked
-    recursively in sorted path order. The category is the subdirectory of
-    root that holds the file, None for a file directly in root."""
+def _read(root: Path, one_trace_per: str) -> Iterator[Sequence]:
+    """The traces of root, a trace file or a directory walked recursively in
+    sorted path order."""
     if one_trace_per not in ("file", "line"):
         raise ConfigurationError(f"one_trace_per must be 'file' or 'line', got {one_trace_per!r}")
     if root.is_dir():
@@ -155,28 +143,26 @@ def _read(root: Path, one_trace_per: str) -> Iterator[tuple[str | None, Sequence
     else:
         raise ConfigurationError(f"not a directory or a trace file: {root}")
     table = _TokenTable()  # one for every file of the walk
-    depth = len(root.parts)
     for path in paths:
-        category = path.parts[depth] if len(path.parts) > depth + 1 else None
         text = read_trace_text(path)
         if one_trace_per == "file":
             seq = _parse(text, str(path), table)
             if len(seq) == 0:
                 log.warning("dropping empty trace %s", path)
                 continue
-            yield category, seq
+            yield seq
         else:
             # "\n" only: read_text maps \r\n and \r to it; splitlines() also splits on \f, U+2028...
             for lineno, line in enumerate(text.split("\n"), start=1):
                 if not line.strip():
                     continue
-                yield category, _parse(line, f"{path}:{lineno}", table)
+                yield _parse(line, f"{path}:{lineno}", table)
 
 
 def load_traces(path, one_trace_per: str = "file") -> list[Sequence]:
     """Load one trace file, or every trace under a directory (recursively,
     sorted by path). Empty trace files are dropped with a warning."""
-    return [seq for _, seq in _read(Path(path), one_trace_per)]
+    return list(_read(Path(path), one_trace_per))
 
 
 def load_dataset(train_dir, validation_dir, attack_dir, one_trace_per: str = "file") -> Dataset:
@@ -190,8 +176,7 @@ def load_dataset(train_dir, validation_dir, attack_dir, one_trace_per: str = "fi
     """
     train = load_traces(train_dir, one_trace_per)
     validation = load_traces(validation_dir, one_trace_per) if validation_dir else []
-    labelled = list(_read(Path(attack_dir), one_trace_per))
-    attacks = [seq for _, seq in labelled]
+    attacks = load_traces(attack_dir, one_trace_per)
 
     loaded = len(validation)
     train = deduplicate(train)
@@ -209,5 +194,4 @@ def load_dataset(train_dir, validation_dir, attack_dir, one_trace_per: str = "fi
     if not attacks:
         raise ConfigurationError(f"no attack sequences loaded from {attack_dir}")
 
-    categories = tuple(category for category, _ in labelled)
-    return Dataset(tuple(train), tuple(validation), tuple(attacks), categories)
+    return Dataset(train, validation, attacks)

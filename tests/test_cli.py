@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from seqcover import cli
 from seqcover.cli import main
 
 
@@ -126,6 +127,18 @@ def test_cover_needs_exactly_one_trace(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exactly one" in captured.err and str(trace) in captured.err
+
+
+def test_cover_checks_the_trace_before_building_the_model(tmp_path, capsys, monkeypatch):
+    def no_model(*args):
+        pytest.fail("cover built the model before it checked --trace")
+
+    monkeypatch.setattr(cli, "_load_model", no_model)
+    trace = tmp_path / "t2.txt"
+    trace.write_text("1 2\n5 6\n")
+    assert main(["cover", "--model-dir", str(tmp_path / "missing"), "--trace", str(trace),
+                 "--one-trace-per", "line"]) == 2
+    assert "exactly one" in capsys.readouterr().err
 
 
 def test_cover_bad_model_dir_fails(tmp_path, capsys):
@@ -349,6 +362,17 @@ def test_enrich_rejects_bins_below_one_before_writing(synthetic_corpus, tmp_path
     with pytest.raises(SystemExit) as exit_info:
         main(_protocol_argv("enrich", synthetic_corpus, out, "--bins", "0"))
     assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+def test_enrich_refuses_bins_above_the_limit_before_reading_traces(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["enrich", "--train-dir", str(missing / "train"), "--attack-dir", str(missing / "attack"),
+              "--bins", "1000000000", "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert f"--bins: must lie in [1, {cli.MAX_BINS}]" in capsys.readouterr().err
     assert not out.exists()
 
 

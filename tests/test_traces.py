@@ -129,17 +129,25 @@ def test_load_dataset_counts_and_categories(tmp_path):
     assert len(ds.normal_train) == 4
     assert len(ds.normal_validation) == 1
     assert len(ds.attacks) == 2
-    assert set(ds.attack_categories) == {"catA", None}
 
 
-@pytest.mark.parametrize("one_trace_per", ["file", "line"])
-def test_load_dataset_category_with_colon(tmp_path, one_trace_per):
+def test_load_dataset_reads_every_split_through_load_traces(tmp_path, monkeypatch):
     _write(tmp_path / "train", "t0.txt", "1 2 3")
-    _write(tmp_path / "attack" / "Add:1", "a0.txt", "7 7\n8 8")
-    _write(tmp_path / "attack", "loose.txt", "9 9")
-    ds = load_dataset(tmp_path / "train", None, tmp_path / "attack", one_trace_per=one_trace_per)
-    expected = {"file": ("Add:1", None), "line": ("Add:1", "Add:1", None)}
-    assert ds.attack_categories == expected[one_trace_per]
+    _write(tmp_path / "val", "v0.txt", "4 5")
+    _write(tmp_path / "attack" / "catA" / "deeper", "a0.txt", "7 7 7")
+    _write(tmp_path / "attack", "loose.txt", "8 8")
+    dirs = (tmp_path / "train", tmp_path / "val", tmp_path / "attack")
+    expected = load_dataset(*dirs)
+    calls = []
+
+    def recorder(path, one_trace_per="file"):
+        calls.append(path)
+        return load_traces(path, one_trace_per)
+
+    monkeypatch.setattr(traces, "load_traces", recorder)
+    assert load_dataset(*dirs) == expected
+    assert sorted(calls) == sorted(dirs)
+    assert len(expected.attacks) == 2
 
 
 def test_load_dataset_cross_split_dedup(tmp_path):
