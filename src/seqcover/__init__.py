@@ -35,7 +35,7 @@ from .enrichment import (
     select_worst_k,
 )
 from .errors import ConfigurationError, TraceParseError
-from .evaluation import RocCurve, auc_from_scores, histogram, rank_auc, roc_curve
+from .evaluation import auc_from_scores, histogram, rank_auc, roc_curve
 from .model import NormalModel
 from .suffix_tree import GeneralizedSuffixIndex
 from .traces import (
@@ -61,7 +61,6 @@ __all__ = [
     "METHODS",
     "NORMAL",
     "NormalModel",
-    "RocCurve",
     "ScoredSequence",
     "Sequence",
     "TraceParseError",

@@ -50,11 +50,13 @@ def _fmt(value: Fraction | float | None) -> str:
     return "" if value is None else f"{float(value):.6f}"
 
 
-def _load_model(model_dir, one_trace_per: str) -> NormalModel:
-    sequences = load_traces(model_dir, one_trace_per)
+def _model_and_out_dir(args) -> tuple[NormalModel, Path | None]:
+    """Read and check ``--model-dir``, open ``--out-dir`` if given, then build the index."""
+    sequences = load_traces(args.model_dir, args.one_trace_per)
     if not sequences:
-        raise ConfigurationError(f"no model sequences loaded from {model_dir}")
-    return NormalModel(sequences)
+        raise ConfigurationError(f"no model sequences loaded from {args.model_dir}")
+    out_dir = _open_out_dir(args) if args.out_dir else None
+    return NormalModel(sequences), out_dir
 
 
 def _cover_record(model: NormalModel, trace) -> dict:
@@ -67,20 +69,20 @@ def cmd_cover(args) -> int:
     traces = load_traces(args.trace, args.one_trace_per)
     if len(traces) != 1:
         raise ConfigurationError(f"cover needs exactly one non-empty trace, {args.trace} holds {len(traces)}")
-    record = _cover_record(_load_model(args.model_dir, args.one_trace_per), traces[0])
-    line = json.dumps(record)
+    model, out_dir = _model_and_out_dir(args)
+    line = json.dumps(_cover_record(model, traces[0]))
     print(line)
-    if args.out_dir:
-        (_open_out_dir(args) / "covering.json").write_text(line + "\n")
+    if out_dir:
+        (out_dir / "covering.json").write_text(line + "\n")
     return 0
 
 
 def cmd_detect(args) -> int:
     config = DetectorConfig(args.sigma)
-    model = _load_model(args.model_dir, args.one_trace_per)
     batch = load_traces(args.traces, args.one_trace_per)
     if not batch:
         raise ConfigurationError(f"no traces loaded from {args.traces}")
+    model, out_dir = _model_and_out_dir(args)
     scored = score_batch(model, config, batch)
     lines = [json.dumps(item.as_record()) for item in scored]
     for line in lines:
@@ -91,16 +93,13 @@ def cmd_detect(args) -> int:
         f"{len(scored) - anomalies} normal, {anomalies} anomaly",
         file=sys.stderr,
     )
-    if args.out_dir:
-        (_open_out_dir(args) / "scores.jsonl").write_text("\n".join(lines) + "\n")
+    if out_dir:
+        (out_dir / "scores.jsonl").write_text("\n".join(lines) + "\n")
     return 0
 
 
 def _protocol_prologue(args, time_budget_seconds: float | None = None) -> tuple[Dataset, EnrichmentConfig, Path]:
     """Check the settings, then the data, and only then create ``--out-dir``."""
-    stop_fraction = args.stop_fraction
-    if stop_fraction is None and args.stop_iterations is None:
-        stop_fraction = 0.5
     init_fraction = args.init_fraction
     if args.init == "fixed" and init_fraction is not None:
         raise ConfigurationError("--init-fraction applies only to --init random")
@@ -109,7 +108,7 @@ def _protocol_prologue(args, time_budget_seconds: float | None = None) -> tuple[
     config = EnrichmentConfig(
         init_fraction=init_fraction,
         batch_size=args.batch_size,
-        stop_train_fraction=stop_fraction,
+        stop_train_fraction=args.stop_fraction,
         stop_max_iterations=args.stop_iterations,
         rng_seed=args.seed,
         time_budget_seconds=time_budget_seconds,
@@ -125,9 +124,8 @@ def _iteration_writer(out_dir: Path, bins: int):
         tag = f"{record.iteration:04d}"
         normal_anom = [anomaly_score(item.similarity) for item in scored_pool]
         attack_anom = [anomaly_score(item.similarity) for item in scored_attacks]
-        curve = roc_curve(normal_anom, attack_anom)
         _write_csv(out_dir / f"roc_{tag}.csv", ["false_positive_rate", "true_positive_rate"],
-                   ([f"{float(x):.10g}", f"{float(y):.10g}"] for x, y in curve.points))
+                   ([f"{float(x):.10g}", f"{float(y):.10g}"] for x, y in roc_curve(normal_anom, attack_anom)))
         normal_hist = histogram([item.similarity for item in scored_pool], bins)
         attack_hist = histogram([item.similarity for item in scored_attacks], bins)
         _write_csv(out_dir / f"hist_{tag}.csv", ["bin_lower_edge", "normal_count", "attack_count"],

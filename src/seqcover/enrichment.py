@@ -49,33 +49,38 @@ class EnrichmentConfig:
     """Initial model, batch size, stop rule, RNG seed and time budget.
 
     ``init_fraction=None`` takes the dataset's training split as the initial
-    model and its validation split as the pool; a value in (0, 1) pools both
-    splits and draws that fraction of them at random. Exactly one stop rule
-    must be set: the share of normal data in training (read as an exact
-    rational) or an iteration count. ``time_budget_seconds`` (comparison
-    runs) caps each method's wall-clock time after its first iteration.
+    model and its validation split as the pool; a value f in (0, 1) pools both
+    splits and draws floor(f·n + 1/2) of their n traces at random. At most one
+    stop rule may be set, the share of normal data in training or an iteration
+    count; with neither, the run stops at half. Both fractions are read as
+    exact rationals. ``time_budget_seconds`` (comparison runs) caps each
+    method's wall-clock time after its first iteration.
     """
 
-    init_fraction: float | None = None
+    init_fraction: Fraction | float | None = None
     batch_size: int = 1
-    stop_train_fraction: Fraction | float | None = Fraction(1, 2)
+    stop_train_fraction: Fraction | float | None = None
     stop_max_iterations: int | None = None
     rng_seed: int = 0
     time_budget_seconds: float | None = None
 
     def __post_init__(self):
-        if self.init_fraction is not None and not 0 < self.init_fraction < 1:
-            raise ConfigurationError(f"init_fraction must lie in (0, 1), got {self.init_fraction}")
+        if self.init_fraction is not None:
+            fraction = _as_fraction(self.init_fraction, "init_fraction")
+            if not 0 < fraction < 1:
+                raise ConfigurationError(f"init_fraction must lie in (0, 1), got {self.init_fraction}")
+            object.__setattr__(self, "init_fraction", fraction)
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if (self.stop_train_fraction is None) == (self.stop_max_iterations is None):
-            raise ConfigurationError("exactly one stop rule must be set")
-        if self.stop_train_fraction is not None:
-            fraction = _as_fraction(self.stop_train_fraction, "stop_train_fraction")
+        if self.stop_max_iterations is None:
+            stop = Fraction(1, 2) if self.stop_train_fraction is None else self.stop_train_fraction
+            fraction = _as_fraction(stop, "stop_train_fraction")
             if not 0 < fraction <= 1:
-                raise ConfigurationError(f"stop_train_fraction must lie in (0, 1], got {self.stop_train_fraction}")
+                raise ConfigurationError(f"stop_train_fraction must lie in (0, 1], got {stop}")
             object.__setattr__(self, "stop_train_fraction", fraction)
-        if self.stop_max_iterations is not None and self.stop_max_iterations < 1:
+        elif self.stop_train_fraction is not None:
+            raise ConfigurationError("at most one stop rule may be set")
+        elif self.stop_max_iterations < 1:
             raise ConfigurationError("stop_max_iterations must be >= 1")
         # a nan budget compares False with every elapsed time and would never expire
         if self.time_budget_seconds is not None and not self.time_budget_seconds >= 0:
@@ -103,7 +108,6 @@ class EnrichmentTrace:
 
     method: str
     records: tuple[EnrichmentRecord, ...]
-    total_normals: int
     truncated: bool = False
     aborted: bool = False
 
@@ -133,8 +137,8 @@ def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Seq
         pool = list(dataset.normal_train) + list(dataset.normal_validation)
         if len(pool) < 2:
             raise ConfigurationError("random initialization needs at least two normal sequences")
-        # always leave something to enrich from
-        count = max(1, min(round(config.init_fraction * len(pool)), len(pool) - 1))
+        # half up; always leave something to enrich from
+        count = max(1, min(math.floor(config.init_fraction * len(pool) + Fraction(1, 2)), len(pool) - 1))
         rng = random.Random(config.rng_seed)
         chosen = set(rng.sample(range(len(pool)), count))
         train = [pool[i] for i in sorted(chosen)]
@@ -234,6 +238,7 @@ def run_enrichment(
             break
 
         iteration, train_size = len(records), total_normals - len(pool)
+        train_fraction = Fraction(train_size, total_normals)
         step_started = time.perf_counter()
         # one scorer per run: each step appends what the previous one moved
         if scorer is None:
@@ -256,7 +261,7 @@ def run_enrichment(
         if config.stop_max_iterations is not None:
             stop = iteration + 1 >= config.stop_max_iterations
         else:
-            stop = Fraction(train_size, total_normals) >= config.stop_train_fraction
+            stop = train_fraction >= config.stop_train_fraction
 
         added: tuple[str, ...] = ()
         if not stop:
@@ -264,7 +269,7 @@ def run_enrichment(
             moved = [pool.pop(source_id) for source_id in added]
 
         record = EnrichmentRecord(
-            iteration=iteration, train_size=train_size, train_fraction=Fraction(train_size, total_normals),
+            iteration=iteration, train_size=train_size, train_fraction=train_fraction,
             auc=auc_all, auc_excluding_exact_matches=auc_excl, elapsed_seconds=elapsed, added_source_ids=added)
         records.append(record)
         if on_iteration is not None:
@@ -272,4 +277,4 @@ def run_enrichment(
         if stop:
             break
 
-    return EnrichmentTrace(method, tuple(records), total_normals, truncated, aborted)
+    return EnrichmentTrace(method, tuple(records), truncated, aborted)

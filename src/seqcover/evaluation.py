@@ -7,7 +7,6 @@ the last digit, not merely within tolerance.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -16,14 +15,6 @@ from .errors import ConfigurationError
 
 def _fractions(values) -> list[Fraction]:
     return [value if isinstance(value, Fraction) else Fraction(value) for value in values]
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """(false positive rate, true positive rate) points from (0,0) to (1,1),
-    one per distinct score as the decision threshold sweeps downward."""
-
-    points: tuple[tuple[Fraction, Fraction], ...]
 
 
 def _roc_counts(normal_scores, attack_scores) -> list[tuple[int, int]]:
@@ -48,14 +39,15 @@ def _roc_counts(normal_scores, attack_scores) -> list[tuple[int, int]]:
     return counts
 
 
-def roc_curve(normal_scores, attack_scores) -> RocCurve:
-    """Sweep the pooled scores from most to least anomalous."""
+def roc_curve(normal_scores, attack_scores) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(false positive rate, true positive rate) points from (0,0) to (1,1),
+    one per distinct score as the threshold sweeps from most to least anomalous."""
     negatives = len(normal_scores)
     positives = len(attack_scores)
     points = [(Fraction(0), Fraction(0))]
     for false_pos, true_pos in _roc_counts(normal_scores, attack_scores):
         points.append((Fraction(false_pos, negatives), Fraction(true_pos, positives)))
-    return RocCurve(tuple(points))
+    return tuple(points)
 
 
 def rank_auc(normal_scores, attack_scores) -> Fraction:

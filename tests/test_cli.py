@@ -129,16 +129,44 @@ def test_cover_needs_exactly_one_trace(tmp_path, capsys, text):
     assert "exactly one" in captured.err and str(trace) in captured.err
 
 
-def test_cover_checks_the_trace_before_building_the_model(tmp_path, capsys, monkeypatch):
-    def no_model(*args):
-        pytest.fail("cover built the model before it checked --trace")
+@pytest.fixture()
+def no_index(monkeypatch):
+    """Fail the test if any index is built."""
+    import seqcover.model as model
 
-    monkeypatch.setattr(cli, "_load_model", no_model)
+    def refuse(*args):
+        pytest.fail("an index was built before every input was checked")
+
+    monkeypatch.setattr(model, "GeneralizedSuffixIndex", refuse)
+
+
+def test_cover_checks_the_trace_before_building_the_model(tmp_path, capsys, no_index):
     trace = tmp_path / "t2.txt"
     trace.write_text("1 2\n5 6\n")
     assert main(["cover", "--model-dir", str(tmp_path / "missing"), "--trace", str(trace),
                  "--one-trace-per", "line"]) == 2
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_detect_reads_its_traces_before_building_the_model(worked_example, tmp_path, capsys, no_index):
+    model, _ = worked_example
+    missing = tmp_path / "missing"
+    assert main(["detect", "--model-dir", str(model), "--traces", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(missing) in captured.err
+
+
+@pytest.mark.parametrize("command", ["detect", "cover"])
+def test_out_dir_is_opened_before_building_the_model(worked_example, tmp_path, capsys, no_index, command):
+    model, traces = worked_example
+    out = tmp_path / "a_file"
+    out.write_text("")
+    target = ["--traces", str(traces)] if command == "detect" else ["--trace", str(traces / "s3.txt")]
+    assert main([command, "--model-dir", str(model), *target, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err
 
 
 def test_cover_bad_model_dir_fails(tmp_path, capsys):
@@ -373,6 +401,15 @@ def test_enrich_refuses_bins_above_the_limit_before_reading_traces(tmp_path, cap
               "--bins", "1000000000", "--out-dir", str(out)])
     assert exit_info.value.code == 2
     assert f"--bins: must lie in [1, {cli.MAX_BINS}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enrich_refuses_a_zero_stop_fraction_before_reading_traces(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    out = tmp_path / "out"
+    assert main(["enrich", "--train-dir", str(missing / "train"), "--attack-dir", str(missing / "attack"),
+                 "--stop-fraction", "0", "--out-dir", str(out)]) == 2
+    assert "error: stop_train_fraction must lie in (0, 1], got 0.0" in capsys.readouterr().err
     assert not out.exists()
 
 

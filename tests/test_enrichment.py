@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -96,9 +97,10 @@ def test_train_sizes_grow_by_batch_and_conserve_total():
     config = EnrichmentConfig(batch_size=2, stop_train_fraction=0.75)
     trace = run_enrichment(ds, config)
     total = len(ds.normal_train) + len(ds.normal_validation)
-    assert trace.total_normals == total
     sizes = [rec.train_size for rec in trace.records]
     assert sizes[0] == 1
+    for rec in trace.records:
+        assert rec.train_fraction == Fraction(rec.train_size, total)
     for before, after, rec in zip(sizes, sizes[1:], trace.records):
         assert after == before + len(rec.added_source_ids)
         assert len(rec.added_source_ids) <= 2
@@ -106,16 +108,22 @@ def test_train_sizes_grow_by_batch_and_conserve_total():
 
 
 def test_attack_similarity_monotone_across_iterations():
-    ds = disjoint_dataset()
-    seen: dict[str, list] = {}
+    # S only grows, so no pool or attack score may fall between iterations:
+    # a longer S can only shorten a minimal covering, and a baseline's
+    # nearest neighbour is a max over a larger set
+    for ds, stop in ((disjoint_dataset(), 0.9), (random_dataset(), 1.0)):
+        for method in ("SC4ID", "LEV", "LCSq", "LCSt"):
+            seen: dict[str, list] = {}
 
-    def watch(record, scored_pool, scored_attacks):
-        for item in scored_attacks:
-            seen.setdefault(item.source_id, []).append(item.similarity)
+            def watch(record, scored_pool, scored_attacks):
+                for item in scored_pool + scored_attacks:
+                    seen.setdefault(item.source_id, []).append(item.similarity)
 
-    run_enrichment(ds, EnrichmentConfig(batch_size=1, stop_train_fraction=0.9), on_iteration=watch)
-    for values in seen.values():
-        assert all(a <= b for a, b in zip(values, values[1:]))
+            run_enrichment(ds, EnrichmentConfig(batch_size=1, stop_train_fraction=stop),
+                           method=method, on_iteration=watch)
+            assert max(len(values) for values in seen.values()) > 2
+            for values in seen.values():
+                assert all(a <= b for a, b in zip(values, values[1:])), (method, values)
 
 
 def test_random_fraction_initialization_sizes_and_determinism():
@@ -123,7 +131,8 @@ def test_random_fraction_initialization_sizes_and_determinism():
     config = EnrichmentConfig(init_fraction=0.25, batch_size=1, stop_train_fraction=0.6, rng_seed=42)
     first = run_enrichment(ds, config)
     again = run_enrichment(ds, config)
-    assert first.records[0].train_size == round(0.25 * first.total_normals)
+    total = len(ds.normal_train) + len(ds.normal_validation)
+    assert first.records[0].train_size == math.floor(Fraction(1, 4) * total + Fraction(1, 2))
 
     def fingerprint(trace):
         return [(r.iteration, r.train_size, r.auc, r.auc_excluding_exact_matches,
@@ -267,10 +276,9 @@ def test_config_validation():
         EnrichmentConfig(init_fraction=1.5)
     with pytest.raises(ConfigurationError):
         EnrichmentConfig(batch_size=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="at most one stop rule may be set"):
         EnrichmentConfig(stop_train_fraction=0.5, stop_max_iterations=3)
-    with pytest.raises(ConfigurationError):
-        EnrichmentConfig(stop_train_fraction=None)
+    assert EnrichmentConfig(stop_train_fraction=None).stop_train_fraction == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("budget", [-1.0, float("nan")])
@@ -289,6 +297,31 @@ def test_init_fraction_alone_draws_at_random():
     assert drawn.records[0].train_size == round(0.25 * total)
     fixed = run_enrichment(ds, EnrichmentConfig(stop_train_fraction=None, stop_max_iterations=1))
     assert fixed.records[0].train_size == len(ds.normal_train)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 1.5])
+def test_stop_train_fraction_outside_its_bounds_is_refused(value):
+    with pytest.raises(ConfigurationError, match=r"stop_train_fraction must lie in \(0, 1\]"):
+        EnrichmentConfig(stop_train_fraction=value)
+
+
+def test_stop_rule_defaults_to_half_unless_an_iteration_count_is_set():
+    assert EnrichmentConfig().stop_train_fraction == Fraction(1, 2)
+    config = EnrichmentConfig(stop_max_iterations=3)
+    assert (config.stop_train_fraction, config.stop_max_iterations) == (None, 3)
+
+
+@pytest.mark.parametrize("init_fraction, drawn", [
+    (0.05, 1), (0.15, 2), (0.25, 3), (0.35, 4), (0.45, 5), (0.95, 9),
+])
+def test_init_fraction_draws_half_up_from_a_ten_trace_pool(init_fraction, drawn):
+    # floor(f·n + 1/2) on the exact rational f, at least one, at most n - 1
+    normals = tuple(Sequence((i,), f"n{i}") for i in range(10))
+    ds = Dataset(normals[:1], normals[1:], (Sequence((99,), "atk"),))
+    config = EnrichmentConfig(init_fraction=init_fraction)
+    assert config.init_fraction == Fraction(str(init_fraction))
+    train, rest = _initial_split(ds, config)
+    assert (len(train), len(rest)) == (drawn, 10 - drawn)
 
 
 def test_stop_train_fraction_is_read_as_an_exact_rational():

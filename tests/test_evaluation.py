@@ -34,7 +34,7 @@ def mixed_score_classes(draw):
 
 def test_perfect_separation():
     curve = roc_curve([0, 0, 0], [1, 1])
-    assert (Fraction(0), Fraction(1)) in curve.points
+    assert (Fraction(0), Fraction(1)) in curve
     assert auc_from_scores([0, 0, 0], [1, 1]) == 1
 
 
@@ -55,9 +55,9 @@ def test_curve_monotone_and_bounded():
     normals = [Fraction(rng.randint(0, 10), 10) for _ in range(25)]
     attacks = [Fraction(rng.randint(0, 10), 10) for _ in range(15)]
     curve = roc_curve(normals, attacks)
-    assert curve.points[0] == (0, 0)
-    assert curve.points[-1] == (1, 1)
-    for (x0, y0), (x1, y1) in zip(curve.points, curve.points[1:]):
+    assert curve[0] == (0, 0)
+    assert curve[-1] == (1, 1)
+    for (x0, y0), (x1, y1) in zip(curve, curve[1:]):
         assert x1 >= x0 and y1 >= y0
         assert 0 <= x1 <= 1 and 0 <= y1 <= 1
 
@@ -81,7 +81,7 @@ def test_trapezoid_equals_rank_statistic(normals, attacks):
 @example(([0.1, Fraction(1, 10), 1], [Fraction(1, 10), Fraction(0.1) + EPSILON, 1.0]))
 def test_sweep_is_exact_on_mixed_scores(classes):
     for normals, attacks in (classes, classes[::-1]):
-        assert roc_curve(normals, attacks).points == trapezoid_roc_oracle(normals, attacks)
+        assert roc_curve(normals, attacks) == trapezoid_roc_oracle(normals, attacks)
         area = auc_from_scores(normals, attacks)
         assert area == trapezoid_auc_oracle(trapezoid_roc_oracle(normals, attacks))
         assert area == rank_auc(normals, attacks)
@@ -114,7 +114,7 @@ def test_roc_invariant_under_monotone_transform(normals, attacks):
 
     before = roc_curve(normals, attacks)
     after = roc_curve([squash(v) for v in normals], [squash(v) for v in attacks])
-    assert before.points == after.points
+    assert before == after
 
 
 def test_auc_complement_on_tie_free_data():
