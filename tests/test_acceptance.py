@@ -255,26 +255,27 @@ def _best_time(fn, repeats):
     return best
 
 
+def _copied_chunks(rng, base, n):
+    """Eight long chunks copied from the sequences of base, each ended by a
+    symbol base never holds: the covering stays at ~16 segments at every n."""
+    per = n // 8
+    pieces = []
+    for _ in range(8):
+        src = base[rng.randrange(8)]
+        offset = rng.randrange(0, len(src) - (per - 1))
+        pieces.extend(src[offset:offset + per - 1])
+        pieces.append(90)
+    return Sequence(tuple(pieces), f"s{n}")
+
+
 def test_criterion_9_scaling_sanity():
     rng = random.Random(SEED + 9)
     base = [tuple(rng.randrange(8) for _ in range(15000)) for _ in range(8)]
     normals = tuple(Sequence(b, f"b{i}") for i, b in enumerate(base))
     model = NormalModel(normals)
 
-    def make_test(n):
-        # eight long chunks copied from the model, each ended by a symbol the
-        # model never saw: the covering stays at ~16 segments at every n
-        per = n // 8
-        pieces = []
-        for _ in range(8):
-            src = base[rng.randrange(8)]
-            offset = rng.randrange(0, len(src) - (per - 1))
-            pieces.extend(src[offset:offset + per - 1])
-            pieces.append(90)
-        return Sequence(tuple(pieces), f"s{n}")
-
     sizes = [10_000, 20_000, 40_000, 80_000]
-    tests = {n: make_test(n) for n in sizes}
+    tests = {n: _copied_chunks(rng, base, n) for n in sizes}
     for n, s in tests.items():
         cover = greedy_cover_binary(model, s)
         assert cover.size <= 24, f"covering blew up at n={n}: k={cover.size}"
@@ -316,3 +317,33 @@ def test_criterion_9_scaling_sanity():
         change = size_effect()
     assert change < 0.25, f"per-query time moved {change:.1%} when |S| doubled"
     _report(9, f"scaling: exponent {slope:.2f} <= 1.3, |S|-doubling moved time {change:.1%}")
+
+
+def test_criterion_9_probe_counts(monkeypatch):
+    """Criterion 9 counted instead of timed: on its construction, the binary
+    extractor makes at most k·(⌈log2 n⌉ + 1) membership probes for a
+    covering of size k, and the same number when |S| doubles."""
+    rng = random.Random(SEED + 9)
+    base = [tuple(rng.randrange(8) for _ in range(3000)) for _ in range(8)]
+    normals = tuple(Sequence(b, f"b{i}") for i, b in enumerate(base))
+    disjoint = tuple(Sequence(tuple(rng.randrange(100, 108) for _ in range(3000)), f"e{i}") for i in range(8))
+    model, doubled = NormalModel(normals), NormalModel(normals + disjoint)
+
+    probes = []
+    contains_range = GeneralizedSuffixIndex.contains_range
+
+    def counted(index, *args):
+        probes.append(args)
+        return contains_range(index, *args)
+
+    monkeypatch.setattr(GeneralizedSuffixIndex, "contains_range", counted)
+
+    def cover_and_count(model, s):
+        probes.clear()
+        return greedy_cover_binary(model, s).segments, len(probes)
+
+    for n in (2_000, 4_000, 8_000, 16_000):
+        s = _copied_chunks(rng, base, n)
+        segments, count = cover_and_count(model, s)
+        assert cover_and_count(doubled, s) == (segments, count)
+        assert count <= len(segments) * (math.ceil(math.log2(n)) + 1), f"n={n}, k={len(segments)}"

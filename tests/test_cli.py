@@ -1,8 +1,11 @@
+import argparse
 import json
 import random
 
 import pytest
 
+import seqcover.model
+import seqcover.traces
 from seqcover import cli
 from seqcover.cli import main
 
@@ -52,7 +55,7 @@ def test_cover_worked_example(worked_example, capsys):
     assert record["segments"] == [[0, 4], [4, 8], [8, 12], [12, 16]]
 
 
-def test_cover_variants_print_identical_segments(worked_example, capsys):
+def test_cover_s4_prints_eight_two_symbol_segments(worked_example, capsys):
     model, traces = worked_example
     assert main(["cover", "--model-dir", str(model), "--trace", str(traces / "s4.txt")]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -114,76 +117,6 @@ def test_cover_reads_one_trace_per_line(tmp_path, capsys):
     assert record["similarity"] == "1/1"
 
 
-@pytest.mark.parametrize("text", ["1 2\n5 6\n", "\n"], ids=["two-lines", "blank"])
-def test_cover_needs_exactly_one_trace(tmp_path, capsys, text):
-    # two lines are two traces, never one covered across the line break;
-    # a blank file holds none
-    model = tmp_path / "model.txt"
-    model.write_text("1 2 3\n4 5 6\n")
-    trace = tmp_path / "t2.txt"
-    trace.write_text(text)
-    assert main(["cover", "--model-dir", str(model), "--trace", str(trace),
-                 "--one-trace-per", "line"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "exactly one" in captured.err and str(trace) in captured.err
-
-
-@pytest.fixture()
-def no_index(monkeypatch):
-    """Fail the test if any index is built."""
-    import seqcover.model as model
-
-    def refuse(*args):
-        pytest.fail("an index was built before every input was checked")
-
-    monkeypatch.setattr(model, "GeneralizedSuffixIndex", refuse)
-
-
-def test_cover_checks_the_trace_before_building_the_model(tmp_path, capsys, no_index):
-    trace = tmp_path / "t2.txt"
-    trace.write_text("1 2\n5 6\n")
-    assert main(["cover", "--model-dir", str(tmp_path / "missing"), "--trace", str(trace),
-                 "--one-trace-per", "line"]) == 2
-    assert "exactly one" in capsys.readouterr().err
-
-
-def test_detect_reads_its_traces_before_building_the_model(worked_example, tmp_path, capsys, no_index):
-    model, _ = worked_example
-    missing = tmp_path / "missing"
-    assert main(["detect", "--model-dir", str(model), "--traces", str(missing)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(missing) in captured.err
-
-
-@pytest.mark.parametrize("command", ["detect", "cover"])
-def test_out_dir_is_opened_before_building_the_model(worked_example, tmp_path, capsys, no_index, command):
-    model, traces = worked_example
-    out = tmp_path / "a_file"
-    out.write_text("")
-    target = ["--traces", str(traces)] if command == "detect" else ["--trace", str(traces / "s3.txt")]
-    assert main([command, "--model-dir", str(model), *target, "--out-dir", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(out) in captured.err
-
-
-def test_cover_bad_model_dir_fails(tmp_path, capsys):
-    trace = tmp_path / "t.txt"
-    trace.write_text("1")
-    assert main(["cover", "--model-dir", str(tmp_path / "missing"), "--trace", str(trace)]) != 0
-    assert "error:" in capsys.readouterr().err
-
-
-def test_cover_names_undecodable_trace_file(worked_example, tmp_path, capsys):
-    model, _ = worked_example
-    trace = tmp_path / "bad.txt"
-    trace.write_bytes(b"\xff\xfe\x00junk")
-    assert main(["cover", "--model-dir", str(model), "--trace", str(trace)]) == 2
-    assert str(trace) in capsys.readouterr().err
-
-
 def test_detect_directory(worked_example, capsys):
     model, traces = worked_example
     assert main(["detect", "--model-dir", str(model), "--traces", str(traces),
@@ -207,44 +140,6 @@ def test_detect_sigma_one_only_exact_substrings(worked_example, tmp_path, capsys
     records = {json.loads(line)["source_id"].rsplit("/", 1)[-1]: json.loads(line)["verdict"]
                for line in capsys.readouterr().out.strip().splitlines()}
     assert records == {"frag.txt": "normal", "warp.txt": "anomaly"}
-
-
-def test_detect_missing_traces_dir(worked_example, capsys):
-    model, _ = worked_example
-    assert main(["detect", "--model-dir", str(model), "--traces", "/nonexistent/xyz"]) != 0
-    assert "error:" in capsys.readouterr().err
-
-
-def test_detect_names_undecodable_trace_file(worked_example, tmp_path, capsys):
-    model, _ = worked_example
-    traces = tmp_path / "mix"
-    _write(traces, "frag.txt", "0 0 0 1 1")
-    (traces / ".DS_Store").write_bytes(b"\xff\xfe\x00junk")
-    assert main(["detect", "--model-dir", str(model), "--traces", str(traces)]) == 2
-    assert str(traces / ".DS_Store") in capsys.readouterr().err
-
-
-def test_detect_names_sigma_without_finite_rational(worked_example, capsys):
-    model, traces = worked_example
-    assert main(["detect", "--model-dir", str(model), "--traces", str(traces),
-                 "--sigma", "nan"]) == 2
-    assert "error: sigma must be a finite number, got 'nan'" in capsys.readouterr().err
-
-
-def test_detect_checks_sigma_before_reading_traces(tmp_path, capsys):
-    missing = str(tmp_path / "missing")
-    assert main(["detect", "--model-dir", missing, "--traces", missing, "--sigma", "2"]) == 2
-    assert "error: sigma must lie in [0, 1]" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["enrich", "compare"])
-def test_protocol_checks_settings_before_reading_traces(tmp_path, capsys, command):
-    missing = tmp_path / "missing"
-    out = tmp_path / "out"
-    assert main([command, "--train-dir", str(missing / "train"), "--validation-dir", str(missing / "val"),
-                 "--attack-dir", str(missing / "attack"), "--batch-size", "0", "--out-dir", str(out)]) == 2
-    assert "error: batch_size must be >= 1, got 0" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_detect_writes_outputs(worked_example, tmp_path, capsys):
@@ -349,16 +244,6 @@ def test_compare_single_method_matches_enrich_trace(synthetic_corpus, tmp_path, 
     assert [(r[0], r[1], r[3]) for r in cmp_rows] == [(r[0], r[1], r[3]) for r in enr_rows]
 
 
-def test_compare_rejects_unknown_method(synthetic_corpus, tmp_path, capsys):
-    train, val, attack = synthetic_corpus
-    assert main([
-        "compare", "--train-dir", str(train), "--validation-dir", str(val),
-        "--attack-dir", str(attack), "--methods", "SC4ID,NOPE",
-        "--out-dir", str(tmp_path / "x"),
-    ]) != 0
-    assert "unknown method" in capsys.readouterr().err
-
-
 def test_manifest_reproduces_run(synthetic_corpus, tmp_path, capsys):
     train, val, attack = synthetic_corpus
     out1 = tmp_path / "m1"
@@ -379,99 +264,163 @@ def test_manifest_reproduces_run(synthetic_corpus, tmp_path, capsys):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
-def _protocol_argv(command, corpus, out, *extra):
-    train, val, attack = corpus
-    return [command, "--train-dir", str(train), "--validation-dir", str(val),
-            "--attack-dir", str(attack), "--stop-iterations", "1", "--out-dir", str(out), *extra]
 
+# Refusals: what each command refuses, and what it must not have done by then.
+# A row is (command, flags, stage, fragment). The argv is the command, BASE's
+# flags for it, under which it runs, then the row's flags; argparse keeps the
+# last value of a repeated flag, so the row's flags override BASE. In flags and
+# fragment, {name} is the path tmp_path/name that refusal_inputs lays out;
+# {missing} and {out} do not exist. A stage names what the refusal must precede:
+# SETTINGS, any trace read; INPUTS, any index built. Every row exits 2 (from
+# main or from argparse), prints nothing on stdout, shows the fragment on
+# stderr, and writes nothing, --out-dir included.
+SETTINGS, INPUTS = "settings", "inputs"
 
-def test_enrich_rejects_bins_below_one_before_writing(synthetic_corpus, tmp_path, capsys):
-    out = tmp_path / "bins0"
-    with pytest.raises(SystemExit) as exit_info:
-        main(_protocol_argv("enrich", synthetic_corpus, out, "--bins", "0"))
-    assert exit_info.value.code == 2
-    assert not out.exists()
+_PROTOCOL_BASE = "--train-dir {train} --attack-dir {attack} --init random --out-dir {out}"
+BASE = {
+    "cover": "--model-dir {model} --trace {traces}/s3.txt",
+    "detect": "--model-dir {model} --traces {traces}",
+    "enrich": _PROTOCOL_BASE,
+    "compare": _PROTOCOL_BASE,
+}
 
+_NOT_FOUND = "error: not a directory or a trace file: "
+_PROTOCOL_REFUSALS = [
+    ("--init half", SETTINGS, "argument --init: invalid choice: 'half'"),
+    ("--init fixed --init-fraction 5", SETTINGS, "error: --init-fraction applies only to --init random"),
+    ("--init-fraction 1.5", SETTINGS, "error: init_fraction must lie in (0, 1), got 1.5"),
+    ("--init-fraction nan", SETTINGS, "error: init_fraction must be a finite number, got nan"),
+    ("--init-fraction half", SETTINGS, "argument --init-fraction: invalid float value: 'half'"),
+    ("--batch-size 0", SETTINGS, "error: batch_size must be >= 1, got 0"),
+    ("--batch-size 1.5", SETTINGS, "argument --batch-size: invalid int value: '1.5'"),
+    ("--stop-fraction 0", SETTINGS, "error: stop_train_fraction must lie in (0, 1], got 0.0"),
+    ("--stop-fraction nan", SETTINGS, "error: stop_train_fraction must be a finite number, got nan"),
+    ("--stop-iterations 0", SETTINGS, "error: stop_max_iterations must be >= 1"),
+    ("--stop-fraction 0.5 --stop-iterations 2", SETTINGS, "error: at most one stop rule may be set"),
+    ("--seed x", SETTINGS, "argument --seed: invalid int value: 'x'"),
+    ("--one-trace-per word", SETTINGS, "argument --one-trace-per: invalid choice: 'word'"),
+    ("--train-dir {missing}", INPUTS, _NOT_FOUND + "{missing}"),
+    ("--train-dir {empty}", INPUTS, "error: no training sequences loaded from {empty}"),
+    ("--train-dir {signed}", INPUTS, "error: bad token '-2' at offset 2 in {signed}: not ASCII decimal digits"),
+    ("--train-dir {one}", INPUTS, "error: random initialization needs at least two normal sequences"),
+    ("--validation-dir {missing}", INPUTS, _NOT_FOUND + "{missing}"),
+    ("--validation-dir {empty}", INPUTS, "error: no validation sequences loaded from {empty}"),
+    ("--validation-dir {dup_val}", INPUTS,
+     "error: all 1 validation sequences loaded from {dup_val} duplicate training sequences"),
+    ("--attack-dir {missing}", INPUTS, _NOT_FOUND + "{missing}"),
+    ("--attack-dir {empty}", INPUTS, "error: no attack sequences loaded from {empty}"),
+    ("--attack-dir {mix}", INPUTS, "error: {mix}/.DS_Store is not a UTF-8 text trace"),
+    ("--init fixed", INPUTS, "error: no normal sequences to score: pass --validation-dir or use --init random"),
+    ("--out-dir {a_file}", INPUTS, "File exists: '{a_file}'"),
+]
 
-def test_enrich_refuses_bins_above_the_limit_before_reading_traces(tmp_path, capsys):
-    missing = tmp_path / "missing"
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exit_info:
-        main(["enrich", "--train-dir", str(missing / "train"), "--attack-dir", str(missing / "attack"),
-              "--bins", "1000000000", "--out-dir", str(out)])
-    assert exit_info.value.code == 2
-    assert f"--bins: must lie in [1, {cli.MAX_BINS}]" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_enrich_refuses_a_zero_stop_fraction_before_reading_traces(tmp_path, capsys):
-    missing = tmp_path / "missing"
-    out = tmp_path / "out"
-    assert main(["enrich", "--train-dir", str(missing / "train"), "--attack-dir", str(missing / "attack"),
-                 "--stop-fraction", "0", "--out-dir", str(out)]) == 2
-    assert "error: stop_train_fraction must lie in (0, 1], got 0.0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_compare_rejects_nan_budget_before_writing(synthetic_corpus, tmp_path, capsys):
-    out = tmp_path / "nanbudget"
-    assert main(_protocol_argv("compare", synthetic_corpus, out,
-                               "--per-method-budget-seconds", "nan")) == 2
-    assert "time_budget_seconds" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_compare_has_no_bins_flag(synthetic_corpus, tmp_path, capsys):
+REFUSALS = [
+    ("cover", "--one-trace-per word", SETTINGS, "argument --one-trace-per: invalid choice: 'word'"),
+    ("cover", "--model-dir {missing}", INPUTS, _NOT_FOUND + "{missing}"),
+    ("cover", "--model-dir {empty}", INPUTS, "error: no model sequences loaded from {empty}"),
+    ("cover", "--trace {missing}", INPUTS, _NOT_FOUND + "{missing}"),
+    ("cover", "--trace {bad}", INPUTS, "error: {bad} is not a UTF-8 text trace"),
+    ("cover", "--trace {traces}", INPUTS, "error: cover needs exactly one non-empty trace, {traces} holds 2"),
+    # two lines are two traces, never one covered across the line break
+    ("cover", "--trace {two_lines} --one-trace-per line", INPUTS,
+     "error: cover needs exactly one non-empty trace, {two_lines} holds 2"),
+    ("cover", "--trace {blank} --one-trace-per line", INPUTS,
+     "error: cover needs exactly one non-empty trace, {blank} holds 0"),
+    # both paths bad: the trace is checked before the model is read
+    ("cover", "--model-dir {missing} --trace {two_lines} --one-trace-per line", INPUTS,
+     "error: cover needs exactly one non-empty trace, {two_lines} holds 2"),
+    ("cover", "--out-dir {a_file}", INPUTS, "File exists: '{a_file}'"),
+    ("detect", "--sigma nan", SETTINGS, "error: sigma must be a finite number, got 'nan'"),
+    ("detect", "--sigma 2", SETTINGS, "error: sigma must lie in [0, 1], got 2"),
+    ("detect", "--one-trace-per word", SETTINGS, "argument --one-trace-per: invalid choice: 'word'"),
+    ("detect", "--model-dir {missing}", INPUTS, _NOT_FOUND + "{missing}"),
+    ("detect", "--model-dir {empty}", INPUTS, "error: no model sequences loaded from {empty}"),
+    ("detect", "--traces {missing}", INPUTS, _NOT_FOUND + "{missing}"),
+    ("detect", "--traces {empty}", INPUTS, "error: no traces loaded from {empty}"),
+    ("detect", "--traces {mix}", INPUTS, "error: {mix}/.DS_Store is not a UTF-8 text trace"),
+    ("detect", "--out-dir {a_file}", INPUTS, "File exists: '{a_file}'"),
+    *((command, *row) for command in ("enrich", "compare") for row in _PROTOCOL_REFUSALS),
+    ("enrich", "--bins 0", SETTINGS, f"argument --bins: must lie in [1, {cli.MAX_BINS}], got 0"),
+    ("enrich", "--bins 1000000000", SETTINGS, f"argument --bins: must lie in [1, {cli.MAX_BINS}], got 1000000000"),
     # compare writes no histogram, so a bin count would be accepted and ignored
-    out = tmp_path / "cmpbins"
-    with pytest.raises(SystemExit) as exit_info:
-        main(_protocol_argv("compare", synthetic_corpus, out, "--bins", "3"))
-    assert exit_info.value.code == 2
-    assert not out.exists()
+    ("compare", "--bins 3", SETTINGS, "error: unrecognized arguments: --bins 3"),
+    ("compare", "--methods SC4ID,NOPE", SETTINGS,
+     "error: unknown method 'NOPE', expected any of SC4ID, LEV, LCSq, LCSt"),
+    ("compare", "--methods ,", SETTINGS, "error: no methods requested"),
+    ("compare", "--per-method-budget-seconds nan", SETTINGS, "error: time_budget_seconds must be >= 0, got nan"),
+    ("compare", "--per-method-budget-seconds -1", SETTINGS, "error: time_budget_seconds must be >= 0, got -1.0"),
+]
 
 
-@pytest.mark.parametrize("command", ["enrich", "compare"])
-def test_fixed_init_without_validation_dir_fails_before_writing(tmp_path, capsys, command):
-    train = tmp_path / "train"
-    _write(train, "t0.txt", "1 2 3 4")
-    _write(train, "t1.txt", "2 3 4 5")
-    attack = tmp_path / "attack"
-    _write(attack, "a0.txt", "9 9 9")
-    out = tmp_path / "no_pool"
-    assert main([command, "--train-dir", str(train), "--attack-dir", str(attack),
-                 "--out-dir", str(out)]) == 2
-    assert "no normal sequences to score" in capsys.readouterr().err
-    assert not out.exists()
+class _Under(dict):
+    """Formats {name} as the path root/name."""
+
+    def __init__(self, root):
+        super().__init__()
+        self.root = root
+
+    def __missing__(self, name):
+        return str(self.root / name)
 
 
-def test_enrich_rejects_random_init_on_one_normal_before_writing(tmp_path, capsys):
-    train = tmp_path / "train"
-    _write(train, "t0.txt", "1 2 3 4")
-    attack = tmp_path / "attack"
-    _write(attack, "a0.txt", "9 9 9")
-    out = tmp_path / "one_normal"
-    assert main(["enrich", "--train-dir", str(train), "--attack-dir", str(attack),
-                 "--init", "random", "--out-dir", str(out)]) == 2
-    assert "at least two normal sequences" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.fixture()
+def refusal_inputs(tmp_path, worked_example, synthetic_corpus):
+    """The paths REFUSALS names, beside the worked example and the synthetic corpus."""
+    train, _, _ = synthetic_corpus
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "two_lines").write_text("1 2\n5 6\n")
+    (tmp_path / "blank").write_text("\n")
+    (tmp_path / "bad").write_bytes(b"\xff\xfe\x00junk")
+    _write(tmp_path / "mix", "frag.txt", "0 0 0 1 1")
+    (tmp_path / "mix" / ".DS_Store").write_bytes(b"\xff\xfe\x00junk")
+    (tmp_path / "signed").write_text("1 -2 3")
+    _write(tmp_path / "one", "t0.txt", "1 2 3 4")
+    _write(tmp_path / "dup_val", "v0.txt", (train / "t0.txt").read_text())
+    return _Under(tmp_path)
 
 
-@pytest.mark.parametrize("command", ["enrich", "compare"])
-def test_init_fraction_rejected_under_fixed_init_before_writing(synthetic_corpus, tmp_path, capsys, command):
-    out = tmp_path / "fixed_fraction"
-    assert main(_protocol_argv(command, synthetic_corpus, out, "--init", "fixed", "--init-fraction", "5")) == 2
-    assert "--init-fraction applies only to --init random" in capsys.readouterr().err
-    assert not out.exists()
+def _argv(command, flags, paths):
+    return [token.format_map(paths) for token in f"{command} {BASE[command]} {flags}".split()]
 
 
-def test_enrich_names_validation_that_only_duplicates_training(tmp_path, capsys):
-    _write(tmp_path / "train", "t0.txt", "1 2 3 4")
-    _write(tmp_path / "val", "v0.txt", "1 2 3 4")
-    _write(tmp_path / "attack", "a0.txt", "9 9 9")
-    out = tmp_path / "dup_val"
-    assert main(["enrich", "--train-dir", str(tmp_path / "train"), "--validation-dir", str(tmp_path / "val"),
-                 "--attack-dir", str(tmp_path / "attack"), "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "all 1 validation sequences loaded from" in err
-    assert "duplicate training sequences" in err
-    assert not out.exists()
+def _refusal_id(command, flags, *_):
+    return "/".join([command, *(token.removeprefix("--").strip("{}") for token in flags.split())])
+
+
+@pytest.mark.parametrize("command", BASE)
+def test_refusal_base_runs(refusal_inputs, capsys, command):
+    # so each row's own flags are what is refused
+    assert main(_argv(command, "", refusal_inputs)) == 0
+
+
+def test_every_flag_that_takes_a_value_has_a_refusal():
+    (commands,) = (action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    for command, parser in commands.choices.items():
+        flags = {flag for action in parser._actions if action.nargs != 0 for flag in action.option_strings}
+        refused = {token for row in REFUSALS if row[0] == command for token in row[1].split()}
+        assert flags <= refused, f"{command}: no refusal row for {sorted(flags - refused)}"
+
+
+@pytest.mark.parametrize("command, flags, stage, fragment", REFUSALS,
+                         ids=[_refusal_id(*row) for row in REFUSALS])
+def test_refusal(refusal_inputs, tmp_path, monkeypatch, capsys, command, flags, stage, fragment):
+    def forbid(what):
+        def fail(*args, **kwargs):
+            pytest.fail(f"{what} before the refusal ({stage})")
+        return fail
+
+    monkeypatch.setattr(seqcover.model, "GeneralizedSuffixIndex", forbid("an index was built"))
+    if stage == SETTINGS:
+        for module, name in ((cli, "load_traces"), (cli, "load_dataset"), (seqcover.traces, "load_traces")):
+            monkeypatch.setattr(module, name, forbid("a trace was read"))
+    before = sorted(tmp_path.rglob("*"))
+    try:
+        code = main(_argv(command, flags, refusal_inputs))
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert fragment.format_map(refusal_inputs) in captured.err
+    assert sorted(tmp_path.rglob("*")) == before

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import S1, S2, S3, S4
@@ -157,6 +157,34 @@ def test_similarity_monotone_in_model():
         before = covering_similarity(model, s)
         model.extend(extra)
         assert covering_similarity(model, s) >= before
+
+
+# S over symbols 0-3 and queries over 0-4, so that queries match long runs
+# of S and sometimes hold a symbol S lacks
+_model_set = st.lists(st.lists(st.integers(0, 3), max_size=10), min_size=1, max_size=5)
+_query = st.lists(st.integers(0, 4), min_size=1, max_size=16)
+# raw tuples may hold any int: negatives, 0, and values past a byte and past int64
+_RAW = (-7, -1, 0, 255, 256, 10**6, 2**63, 2**70)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_model_set, _query, st.data())
+def test_covering_ignores_the_order_and_duplicates_of_s(sequences, query, data):
+    duplicates = data.draw(st.lists(st.sampled_from(sequences), max_size=4))
+    shuffled = data.draw(st.permutations(sequences + duplicates))
+    expected = greedy_cover_linear(NormalModel(sequences), query)
+    assert greedy_cover_linear(NormalModel(shuffled), query) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_model_set, _query, st.permutations(_RAW))
+@example([[0, 1], [2]], [1, 4, 2], (-7, 0, 255, 256, -1, 10**6, 2**63, 2**70))  # 4 -> -1 joins [0, 1] to [2]
+def test_covering_ignores_an_injective_relabelling(sequences, query, targets):
+    def relabel(symbols):
+        return tuple(targets[symbol] for symbol in symbols)
+
+    expected = greedy_cover_linear(NormalModel(sequences), query)
+    assert greedy_cover_linear(NormalModel(map(relabel, sequences)), relabel(query)) == expected
 
 
 short_seq = st.lists(st.integers(0, 4), min_size=1, max_size=12)

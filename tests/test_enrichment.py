@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcover import (
+    METHODS,
     BaselineKind,
     ConfigurationError,
     Covering,
@@ -451,3 +453,24 @@ def test_baseline_scorer_equals_nearest_over_all_references(kind, contents, init
                 assert item.similarity == nearest(kind, references, seq)
                 # each reference scored once per content: none skipped, none rescanned
                 assert scored_against[seq.symbols] == references
+
+
+def _without_elapsed(trace):
+    return dataclasses.replace(trace, records=tuple(
+        dataclasses.replace(record, elapsed_seconds=0.0) for record in trace.records))
+
+
+# splits over a three-symbol alphabet, so that scores tie and the source_id
+# tie-break decides which normals move
+_split = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6).map(tuple), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(METHODS), st.integers(1, 3), _split, _split, _split, st.data())
+def test_enrichment_ignores_the_order_of_each_split(method, batch_size, train, validation, attacks, data):
+    splits = [tuple(Sequence(symbols, f"{tag}{i}") for i, symbols in enumerate(split))
+              for tag, split in zip("tva", (train, validation, attacks))]
+    permuted = [data.draw(st.permutations(split)) for split in splits]
+    config = EnrichmentConfig(batch_size=batch_size, stop_train_fraction=1)  # until the pool is empty
+    expected = _without_elapsed(run_enrichment(Dataset(*splits), config, method=method))
+    assert _without_elapsed(run_enrichment(Dataset(*permuted), config, method=method)) == expected
