@@ -154,6 +154,25 @@ def test_detect_writes_outputs(worked_example, tmp_path, capsys):
     assert manifest["args"]["sigma"] == "0.97"
 
 
+def test_detect_missing_traces_dir(worked_example, capsys):
+    model, _ = worked_example
+    assert main(["detect", "--model-dir", str(model), "--traces", "/nonexistent/xyz"]) != 0
+    assert "error:" in capsys.readouterr().err
+
+
+def test_detect_reads_its_traces_before_building_the_model(worked_example, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        pytest.fail("an index was built before every input was checked")
+
+    monkeypatch.setattr(seqcover.model, "GeneralizedSuffixIndex", refuse)
+    model, _ = worked_example
+    missing = tmp_path / "missing"
+    assert main(["detect", "--model-dir", str(model), "--traces", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(missing) in captured.err
+
+
 def _run_enrich(train, val, attack, out, extra=()):
     return main([
         "enrich",
