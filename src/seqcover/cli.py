@@ -8,6 +8,7 @@ from the single --seed flag; emitted files are written in a fixed order).
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -213,6 +214,16 @@ def _bin_count(raw: str) -> int:
     return value
 
 
+def _output_directory(raw: str) -> str:
+    """``--out-dir``: a directory, or a path that can be created as one; kept as typed."""
+    path = Path(raw)
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not os.path.isdir(existing):
+        prefix = "" if existing == path else f"cannot create {raw}: "
+        raise argparse.ArgumentTypeError(f"{prefix}{existing} is not a directory")
+    return raw
+
+
 def _add_trace_format_flag(parser) -> None:
     parser.add_argument("--one-trace-per", choices=["file", "line"], default="file",
                         help="trace granularity inside input files (default: file)")
@@ -236,7 +247,7 @@ def _add_protocol_flags(parser) -> None:
     parser.add_argument("--stop-iterations", type=int, default=None,
                         help="stop after this many iterations")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    parser.add_argument("--out-dir", required=True, help="output directory")
+    parser.add_argument("--out-dir", type=_output_directory, required=True, help="output directory")
     _add_trace_format_flag(parser)
 
 
@@ -251,7 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cover = commands.add_parser("cover", help="print the optimal covering of one trace")
     cover.add_argument("--model-dir", required=True, help="directory of normal traces")
     cover.add_argument("--trace", required=True, help="trace file to cover")
-    cover.add_argument("--out-dir", default=None, help="also write covering.json and manifest here")
+    cover.add_argument("--out-dir", type=_output_directory, default=None,
+                       help="also write covering.json and manifest here")
     _add_trace_format_flag(cover)
     cover.set_defaults(func=cmd_cover)
 
@@ -260,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--traces", required=True, help="trace file or directory to classify")
     detect.add_argument("--sigma", default="0.97",
                         help="decision threshold in [0,1] (default: 0.97)")
-    detect.add_argument("--out-dir", default=None, help="also write scores.jsonl and manifest here")
+    detect.add_argument("--out-dir", type=_output_directory, default=None,
+                        help="also write scores.jsonl and manifest here")
     _add_trace_format_flag(detect)
     detect.set_defaults(func=cmd_detect)
 

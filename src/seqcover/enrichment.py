@@ -81,7 +81,7 @@ class EnrichmentConfig:
         elif self.stop_train_fraction is not None:
             raise ConfigurationError("at most one stop rule may be set")
         elif self.stop_max_iterations < 1:
-            raise ConfigurationError("stop_max_iterations must be >= 1")
+            raise ConfigurationError(f"stop_max_iterations must be >= 1, got {self.stop_max_iterations}")
         # a nan budget compares False with every elapsed time and would never expire
         if self.time_budget_seconds is not None and not self.time_budget_seconds >= 0:
             raise ConfigurationError(f"time_budget_seconds must be >= 0, got {self.time_budget_seconds}")

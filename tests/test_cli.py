@@ -304,6 +304,8 @@ BASE = {
 }
 
 _NOT_FOUND = "error: not a directory or a trace file: "
+_NOT_A_DIRECTORY = "error: argument --out-dir: {a_file} is not a directory"
+_UNDER_A_FILE = "error: argument --out-dir: cannot create {a_file}/sub: {a_file} is not a directory"
 _PROTOCOL_REFUSALS = [
     ("--init half", SETTINGS, "argument --init: invalid choice: 'half'"),
     ("--init fixed --init-fraction 5", SETTINGS, "error: --init-fraction applies only to --init random"),
@@ -314,7 +316,7 @@ _PROTOCOL_REFUSALS = [
     ("--batch-size 1.5", SETTINGS, "argument --batch-size: invalid int value: '1.5'"),
     ("--stop-fraction 0", SETTINGS, "error: stop_train_fraction must lie in (0, 1], got 0.0"),
     ("--stop-fraction nan", SETTINGS, "error: stop_train_fraction must be a finite number, got nan"),
-    ("--stop-iterations 0", SETTINGS, "error: stop_max_iterations must be >= 1"),
+    ("--stop-iterations 0", SETTINGS, "error: stop_max_iterations must be >= 1, got 0"),
     ("--stop-fraction 0.5 --stop-iterations 2", SETTINGS, "error: at most one stop rule may be set"),
     ("--seed x", SETTINGS, "argument --seed: invalid int value: 'x'"),
     ("--one-trace-per word", SETTINGS, "argument --one-trace-per: invalid choice: 'word'"),
@@ -330,7 +332,8 @@ _PROTOCOL_REFUSALS = [
     ("--attack-dir {empty}", INPUTS, "error: no attack sequences loaded from {empty}"),
     ("--attack-dir {mix}", INPUTS, "error: {mix}/.DS_Store is not a UTF-8 text trace"),
     ("--init fixed", INPUTS, "error: no normal sequences to score: pass --validation-dir or use --init random"),
-    ("--out-dir {a_file}", INPUTS, "File exists: '{a_file}'"),
+    ("--out-dir {a_file}", SETTINGS, _NOT_A_DIRECTORY),
+    ("--out-dir {a_file}/sub", SETTINGS, _UNDER_A_FILE),
 ]
 
 REFUSALS = [
@@ -348,7 +351,9 @@ REFUSALS = [
     # both paths bad: the trace is checked before the model is read
     ("cover", "--model-dir {missing} --trace {two_lines} --one-trace-per line", INPUTS,
      "error: cover needs exactly one non-empty trace, {two_lines} holds 2"),
-    ("cover", "--out-dir {a_file}", INPUTS, "File exists: '{a_file}'"),
+    ("cover", "--out-dir {a_file}", SETTINGS, _NOT_A_DIRECTORY),
+    ("cover", "--out-dir {a_file}/sub", SETTINGS, _UNDER_A_FILE),
+    ("cover", "--out-dir {dangling}", SETTINGS, "error: argument --out-dir: {dangling} is not a directory"),
     ("detect", "--sigma nan", SETTINGS, "error: sigma must be a finite number, got 'nan'"),
     ("detect", "--sigma 2", SETTINGS, "error: sigma must lie in [0, 1], got 2"),
     ("detect", "--one-trace-per word", SETTINGS, "argument --one-trace-per: invalid choice: 'word'"),
@@ -357,7 +362,8 @@ REFUSALS = [
     ("detect", "--traces {missing}", INPUTS, _NOT_FOUND + "{missing}"),
     ("detect", "--traces {empty}", INPUTS, "error: no traces loaded from {empty}"),
     ("detect", "--traces {mix}", INPUTS, "error: {mix}/.DS_Store is not a UTF-8 text trace"),
-    ("detect", "--out-dir {a_file}", INPUTS, "File exists: '{a_file}'"),
+    ("detect", "--out-dir {a_file}", SETTINGS, _NOT_A_DIRECTORY),
+    ("detect", "--out-dir {a_file}/sub", SETTINGS, _UNDER_A_FILE),
     *((command, *row) for command in ("enrich", "compare") for row in _PROTOCOL_REFUSALS),
     ("enrich", "--bins 0", SETTINGS, f"argument --bins: must lie in [1, {cli.MAX_BINS}], got 0"),
     ("enrich", "--bins 1000000000", SETTINGS, f"argument --bins: must lie in [1, {cli.MAX_BINS}], got 1000000000"),
@@ -388,6 +394,7 @@ def refusal_inputs(tmp_path, worked_example, synthetic_corpus):
     train, _, _ = synthetic_corpus
     (tmp_path / "empty").mkdir()
     (tmp_path / "a_file").write_text("")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
     (tmp_path / "two_lines").write_text("1 2\n5 6\n")
     (tmp_path / "blank").write_text("\n")
     (tmp_path / "bad").write_bytes(b"\xff\xfe\x00junk")
@@ -404,7 +411,8 @@ def _argv(command, flags, paths):
 
 
 def _refusal_id(command, flags, *_):
-    return "/".join([command, *(token.removeprefix("--").strip("{}") for token in flags.split())])
+    return "/".join([command, *(token.removeprefix("--").replace("{", "").replace("}", "")
+                                for token in flags.split())])
 
 
 @pytest.mark.parametrize("command", BASE)
