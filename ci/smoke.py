@@ -21,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench" / "run.py"
 
-OPS = {"==": operator.eq, ">": operator.gt}
+OPS = {"==": operator.eq, ">": operator.gt, "<": operator.lt}
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,14 @@ RUNS = (
         ("covering.probes", "==", "covering.segments"),
         ("baselines.pairs", "==", 11070),
     )),
-    # 833 training + 1,000 validation + 746 attack files
+    # 833 training + 1,000 validation + 746 attack files; with a dict only
+    # at branch states the index peaks at about 23.5 MB (120.9 with a dict
+    # per state), on detect too
     Run("enrich-traced", "enrich", 1, trace=1, checks=(
         ("suffix_tree.builds", "==", 1),
         ("enrichment.iterations", "==", 4),
         ("traces.files", "==", 2579),
+        ("suffix_tree.build_peak_mb", "<", 60),
     )),
     Run("detect", "detect", 1, seconds=1),
     # 833 training + 5,118 batch files
@@ -81,6 +84,7 @@ RUNS = (
         ("suffix_tree.builds", "==", 1),
         ("covering.probes", "==", "covering.segments"),
         ("traces.files", "==", 5951),
+        ("suffix_tree.build_peak_mb", "<", 60),
     )),
 )
 STEPS = tuple(dict.fromkeys(run.step for run in RUNS))

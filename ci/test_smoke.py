@@ -70,6 +70,7 @@ PASSING = {
         '{"correct": true, "attempted": 1785, "failed": 0, "metrics": {'
         '"traces.files": {"value": 2579, "unit": "count"}, '
         '"suffix_tree.builds": {"value": 1, "unit": "count"}, '
+        '"suffix_tree.build_peak_mb": {"value": 23.476219177246094, "unit": "MB"}, '
         '"covering.segments": {"value": 109752, "unit": "count"}, '
         '"covering.probes": {"value": 109752, "unit": "count"}, '
         '"evaluation.calls": {"value": 20, "unit": "count"}, '
@@ -84,6 +85,7 @@ PASSING = {
         '{"correct": true, "attempted": 5152, "failed": 0, "metrics": {'
         '"traces.files": {"value": 5951, "unit": "count"}, '
         '"suffix_tree.builds": {"value": 1, "unit": "count"}, '
+        '"suffix_tree.build_peak_mb": {"value": 23.298961639404297, "unit": "MB"}, '
         '"covering.segments": {"value": 70072, "unit": "count"}, '
         '"covering.probes": {"value": 70072, "unit": "count"}, '
         '"evaluation.calls": {"value": 0, "unit": "count"}, '
@@ -170,6 +172,15 @@ def test_a_broken_metric_fails(name, metric, value):
                             PASSING[name])
     assert count == 1
     _fails_alone(name, stdout, metric)
+
+
+@pytest.mark.parametrize("name", ["enrich seed 1 traced", "detect seed 1 traced"])
+@pytest.mark.parametrize("peak", ["60", "60.0", "120.70499038696289"])  # the bound, and a dict per state
+def test_a_build_peak_of_60_mb_or_more_fails(name, peak):
+    stdout, count = re.subn(r'"suffix_tree\.build_peak_mb": \{"value": [\d.]+',
+                            f'"suffix_tree.build_peak_mb": {{"value": {peak}', PASSING[name])
+    assert count == 1
+    _fails_alone(name, stdout, f"suffix_tree.build_peak_mb < 60: got {peak}")
 
 
 def test_one_changed_digit_in_a_digest_fails():

@@ -99,6 +99,16 @@ def cmd_detect(args) -> int:
     return 0
 
 
+# the flag that sets each EnrichmentConfig field, named when the field is refused
+_FLAG_OF_SETTING = {
+    "init_fraction": "--init-fraction",
+    "batch_size": "--batch-size",
+    "stop_train_fraction": "--stop-fraction",
+    "stop_max_iterations": "--stop-iterations",
+    "time_budget_seconds": "--per-method-budget-seconds",
+}
+
+
 def _protocol_prologue(args, time_budget_seconds: float | None = None) -> tuple[Dataset, EnrichmentConfig, Path]:
     """Check the settings, then the data, and only then create ``--out-dir``."""
     init_fraction = args.init_fraction
@@ -106,14 +116,21 @@ def _protocol_prologue(args, time_budget_seconds: float | None = None) -> tuple[
         raise ConfigurationError("--init-fraction applies only to --init random")
     if args.init == "random" and init_fraction is None:
         init_fraction = 0.1
-    config = EnrichmentConfig(
-        init_fraction=init_fraction,
-        batch_size=args.batch_size,
-        stop_train_fraction=args.stop_fraction,
-        stop_max_iterations=args.stop_iterations,
-        rng_seed=args.seed,
-        time_budget_seconds=time_budget_seconds,
-    )
+    try:
+        config = EnrichmentConfig(
+            init_fraction=init_fraction,
+            batch_size=args.batch_size,
+            stop_train_fraction=args.stop_fraction,
+            stop_max_iterations=args.stop_iterations,
+            rng_seed=args.seed,
+            time_budget_seconds=time_budget_seconds,
+        )
+    except ConfigurationError as exc:
+        # EnrichmentConfig names the refused field first; say it as the flag typed
+        setting, _, rule = str(exc).partition(" ")
+        if setting not in _FLAG_OF_SETTING:
+            raise
+        raise ConfigurationError(f"{_FLAG_OF_SETTING[setting]} {rule}") from None
     dataset = load_dataset(args.train_dir, args.validation_dir, args.attack_dir,
                            one_trace_per=args.one_trace_per)
     _initial_split(dataset, config)

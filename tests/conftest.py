@@ -9,6 +9,9 @@ S2 = Sequence((0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1), "s2")
 S3 = Sequence((0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1), "s3")
 S4 = Sequence((0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1), "s4")
 
+# raw tuples may hold any int: negatives, 0, and values past a byte and past int64
+RAW_SYMBOLS = (-7, -1, 0, 255, 256, 10**6, 2**63, 2**70)
+
 
 @pytest.fixture(scope="session")
 def reference_model():

@@ -1,8 +1,14 @@
 import argparse
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import seqcover.model
 import seqcover.traces
@@ -103,6 +109,38 @@ def test_detect_single_file_per_line(worked_example, tmp_path, capsys):
     records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
     assert [rec["verdict"] for rec in records] == ["normal", "anomaly"]
     assert records[0]["source_id"].endswith("bundle.txt:1")
+
+
+def _detect_records(model, traces, one_trace_per):
+    """``detect``'s records by trace number: the file name's stem, or the line number less one."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(["detect", "--model-dir", str(model), "--traces", str(traces),
+                     "--one-trace-per", one_trace_per]) == 0
+    records = {}
+    for record in map(json.loads, out.getvalue().splitlines()):
+        name, _, line = record.pop("source_id").rsplit("/", 1)[-1].partition(":")
+        records[int(line) - 1 if line else int(name.removesuffix(".txt"))] = record
+    return records
+
+
+_trace = st.lists(st.integers(0, 5), max_size=10)  # an empty trace is dropped as a file and as a line
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_trace, min_size=1, max_size=5), st.lists(_trace, min_size=1, max_size=6))
+def test_detect_scores_do_not_depend_on_how_the_traces_are_packaged(model, batch):
+    assume(any(model) and any(batch))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, traces in (("model", model), ("batch", batch)):
+            for i, trace in enumerate(traces):
+                _write(root / name, f"{i:02d}.txt", " ".join(map(str, trace)))
+            (root / f"{name}.txt").write_text("".join(" ".join(map(str, trace)) + "\n" for trace in traces))
+        per_file = _detect_records(root / "model", root / "batch", "file")
+        per_line = _detect_records(root / "model.txt", root / "batch.txt", "line")
+    assert sorted(per_file) == [i for i, trace in enumerate(batch) if trace]
+    assert per_line == per_file
 
 
 def test_cover_reads_one_trace_per_line(tmp_path, capsys):
@@ -309,14 +347,14 @@ _UNDER_A_FILE = "error: argument --out-dir: cannot create {a_file}/sub: {a_file}
 _PROTOCOL_REFUSALS = [
     ("--init half", SETTINGS, "argument --init: invalid choice: 'half'"),
     ("--init fixed --init-fraction 5", SETTINGS, "error: --init-fraction applies only to --init random"),
-    ("--init-fraction 1.5", SETTINGS, "error: init_fraction must lie in (0, 1), got 1.5"),
-    ("--init-fraction nan", SETTINGS, "error: init_fraction must be a finite number, got nan"),
+    ("--init-fraction 1.5", SETTINGS, "error: --init-fraction must lie in (0, 1), got 1.5"),
+    ("--init-fraction nan", SETTINGS, "error: --init-fraction must be a finite number, got nan"),
     ("--init-fraction half", SETTINGS, "argument --init-fraction: invalid float value: 'half'"),
-    ("--batch-size 0", SETTINGS, "error: batch_size must be >= 1, got 0"),
+    ("--batch-size 0", SETTINGS, "error: --batch-size must be >= 1, got 0"),
     ("--batch-size 1.5", SETTINGS, "argument --batch-size: invalid int value: '1.5'"),
-    ("--stop-fraction 0", SETTINGS, "error: stop_train_fraction must lie in (0, 1], got 0.0"),
-    ("--stop-fraction nan", SETTINGS, "error: stop_train_fraction must be a finite number, got nan"),
-    ("--stop-iterations 0", SETTINGS, "error: stop_max_iterations must be >= 1, got 0"),
+    ("--stop-fraction 0", SETTINGS, "error: --stop-fraction must lie in (0, 1], got 0.0"),
+    ("--stop-fraction nan", SETTINGS, "error: --stop-fraction must be a finite number, got nan"),
+    ("--stop-iterations 0", SETTINGS, "error: --stop-iterations must be >= 1, got 0"),
     ("--stop-fraction 0.5 --stop-iterations 2", SETTINGS, "error: at most one stop rule may be set"),
     ("--seed x", SETTINGS, "argument --seed: invalid int value: 'x'"),
     ("--one-trace-per word", SETTINGS, "argument --one-trace-per: invalid choice: 'word'"),
@@ -372,8 +410,8 @@ REFUSALS = [
     ("compare", "--methods SC4ID,NOPE", SETTINGS,
      "error: unknown method 'NOPE', expected any of SC4ID, LEV, LCSq, LCSt"),
     ("compare", "--methods ,", SETTINGS, "error: no methods requested"),
-    ("compare", "--per-method-budget-seconds nan", SETTINGS, "error: time_budget_seconds must be >= 0, got nan"),
-    ("compare", "--per-method-budget-seconds -1", SETTINGS, "error: time_budget_seconds must be >= 0, got -1.0"),
+    ("compare", "--per-method-budget-seconds nan", SETTINGS, "error: --per-method-budget-seconds must be >= 0, got nan"),
+    ("compare", "--per-method-budget-seconds -1", SETTINGS, "error: --per-method-budget-seconds must be >= 0, got -1.0"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import S1, S2, S3, S4
+from conftest import RAW_SYMBOLS, S1, S2, S3, S4
 from oracles import dp_optimal_cover_oracle, in_s_sub
 from seqcover import (
     NormalModel,
@@ -163,8 +163,6 @@ def test_similarity_monotone_in_model():
 # of S and sometimes hold a symbol S lacks
 _model_set = st.lists(st.lists(st.integers(0, 3), max_size=10), min_size=1, max_size=5)
 _query = st.lists(st.integers(0, 4), min_size=1, max_size=16)
-# raw tuples may hold any int: negatives, 0, and values past a byte and past int64
-_RAW = (-7, -1, 0, 255, 256, 10**6, 2**63, 2**70)
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,7 +175,7 @@ def test_covering_ignores_the_order_and_duplicates_of_s(sequences, query, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_model_set, _query, st.permutations(_RAW))
+@given(_model_set, _query, st.permutations(RAW_SYMBOLS))
 @example([[0, 1], [2]], [1, 4, 2], (-7, 0, 255, 256, -1, 10**6, 2**63, 2**70))  # 4 -> -1 joins [0, 1] to [2]
 def test_covering_ignores_an_injective_relabelling(sequences, query, targets):
     def relabel(symbols):

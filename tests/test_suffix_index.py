@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import RAW_SYMBOLS
 from oracles import lcst_dp, naive_contains, naive_longest_match
 from seqcover import GeneralizedSuffixIndex, Sequence
 
@@ -30,6 +31,26 @@ def test_raw_query_cannot_match_through_a_sentinel():
     idx = GeneralizedSuffixIndex([(1, 2, 3), (4, 5)])
     assert idx.contains((3, -1)) is False
     assert idx.longest_match_from((3, -1, 4), 0) == 1
+
+
+# (indexed sequences, a query that reaches a state with no transition that
+# a query symbol can take): state 0 of an empty index has no transition at
+# all, and only sentinels' transitions leave the state of a sequence's end
+DEAD_ENDS = {
+    "empty index": ((), ()),
+    "one sentinel": (((1, 2),), (1, 2)),
+    "two sentinels": (((5,), (4, 5)), (5,)),
+}
+
+
+@pytest.mark.parametrize("symbol", RAW_SYMBOLS)
+@pytest.mark.parametrize("sequences, reach", DEAD_ENDS.values(), ids=DEAD_ENDS)
+def test_no_raw_symbol_steps_from_a_dead_end(sequences, reach, symbol):
+    idx = GeneralizedSuffixIndex(sequences)
+    query = (*reach, symbol)
+    assert idx.contains(query) is False
+    assert idx.longest_match_from(query, 0) == max(len(reach), 1)
+    assert idx.longest_common_substring(query) == len(reach)
 
 
 def test_contains_rejects_empty_query():
@@ -208,3 +229,20 @@ def test_queries_of_a_grown_index_equal_naive_scans(seqs, queries, raw, data):
             for end in range(start + 1, len(query) + 1):
                 assert idx.contains(query[start:end]) == naive_contains(seqs, query[start:end])
         assert idx.longest_common_substring(query) == max(lcst_dp(a, query) for a in seqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=10), min_size=1, max_size=5),
+    st.lists(st.integers(0, 4), max_size=16),
+    st.permutations(RAW_SYMBOLS),
+)
+@example([[0, 1], [2]], [1, 4, 2], (-7, 0, 255, 256, -1, 10**6, 2**63, 2**70))  # 4 -> -1 between two sequences
+def test_longest_common_substring_ignores_an_injective_relabelling(sequences, query, targets):
+    # the suffix-link fallback reads the layout apart from the walks covering makes
+    def relabel(symbols):
+        return tuple(targets[symbol] for symbol in symbols)
+
+    expected = max(lcst_dp(a, query) for a in sequences)
+    assert GeneralizedSuffixIndex(sequences).longest_common_substring(query) == expected
+    assert GeneralizedSuffixIndex(map(relabel, sequences)).longest_common_substring(relabel(query)) == expected
