@@ -99,8 +99,9 @@ def cmd_detect(args) -> int:
     return 0
 
 
-# the flag that sets each EnrichmentConfig field, named when the field is refused
+# the flag that sets each DetectorConfig and EnrichmentConfig field, named when the field is refused
 _FLAG_OF_SETTING = {
+    "sigma": "--sigma",
     "init_fraction": "--init-fraction",
     "batch_size": "--batch-size",
     "stop_train_fraction": "--stop-fraction",
@@ -116,23 +117,10 @@ def _protocol_prologue(args, time_budget_seconds: float | None = None) -> tuple[
         raise ConfigurationError("--init-fraction applies only to --init random")
     if args.init == "random" and init_fraction is None:
         init_fraction = 0.1
-    try:
-        config = EnrichmentConfig(
-            init_fraction=init_fraction,
-            batch_size=args.batch_size,
-            stop_train_fraction=args.stop_fraction,
-            stop_max_iterations=args.stop_iterations,
-            rng_seed=args.seed,
-            time_budget_seconds=time_budget_seconds,
-        )
-    except ConfigurationError as exc:
-        # EnrichmentConfig names the refused field first; say it as the flag typed
-        setting, _, rule = str(exc).partition(" ")
-        if setting not in _FLAG_OF_SETTING:
-            raise
-        raise ConfigurationError(f"{_FLAG_OF_SETTING[setting]} {rule}") from None
-    dataset = load_dataset(args.train_dir, args.validation_dir, args.attack_dir,
-                           one_trace_per=args.one_trace_per)
+    config = EnrichmentConfig(init_fraction=init_fraction, batch_size=args.batch_size,
+                              stop_train_fraction=args.stop_fraction, stop_max_iterations=args.stop_iterations,
+                              rng_seed=args.seed, time_budget_seconds=time_budget_seconds)
+    dataset = load_dataset(args.train_dir, args.validation_dir, args.attack_dir, one_trace_per=args.one_trace_per)
     _initial_split(dataset, config)
     return dataset, config, _open_out_dir(args)
 
@@ -195,9 +183,7 @@ def cmd_compare(args) -> int:
     methods = _parse_methods(args.methods)
     dataset, config, out_dir = _protocol_prologue(args, args.per_method_budget_seconds)
 
-    traces: dict[str, EnrichmentTrace] = {}
-    for method in methods:
-        traces[method] = run_enrichment(dataset, config, method=method)
+    traces = {method: run_enrichment(dataset, config, method=method) for method in methods}
 
     depth = max(len(trace.records) for trace in traces.values())
     rows = []
@@ -231,9 +217,16 @@ def _bin_count(raw: str) -> int:
     return value
 
 
+def _path(raw: str) -> str:
+    """A path flag, kept as typed; "" would name the current directory."""
+    if not raw:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return raw
+
+
 def _output_directory(raw: str) -> str:
     """``--out-dir``: a directory, or a path that can be created as one; kept as typed."""
-    path = Path(raw)
+    path = Path(_path(raw))
     existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
     if not os.path.isdir(existing):
         prefix = "" if existing == path else f"cannot create {raw}: "
@@ -247,10 +240,9 @@ def _add_trace_format_flag(parser) -> None:
 
 
 def _add_protocol_flags(parser) -> None:
-    parser.add_argument("--train-dir", required=True, help="directory of normal training traces")
-    parser.add_argument("--validation-dir", default=None,
-                        help="directory of normal validation traces (optional)")
-    parser.add_argument("--attack-dir", required=True, help="directory of attack traces")
+    parser.add_argument("--train-dir", type=_path, required=True, help="directory of normal training traces")
+    parser.add_argument("--validation-dir", type=_path, help="directory of normal validation traces (optional)")
+    parser.add_argument("--attack-dir", type=_path, required=True, help="directory of attack traces")
     parser.add_argument("--init", choices=["fixed", "random"], default="fixed",
                         help="initial model: the training split as-is, or a random fraction "
                              "of all normal data (default: fixed)")
@@ -277,16 +269,16 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     cover = commands.add_parser("cover", help="print the optimal covering of one trace")
-    cover.add_argument("--model-dir", required=True, help="directory of normal traces")
-    cover.add_argument("--trace", required=True, help="trace file to cover")
+    cover.add_argument("--model-dir", type=_path, required=True, help="directory of normal traces")
+    cover.add_argument("--trace", type=_path, required=True, help="trace file to cover")
     cover.add_argument("--out-dir", type=_output_directory, default=None,
                        help="also write covering.json and manifest here")
     _add_trace_format_flag(cover)
     cover.set_defaults(func=cmd_cover)
 
     detect = commands.add_parser("detect", help="classify traces against a normal model")
-    detect.add_argument("--model-dir", required=True, help="directory of normal traces")
-    detect.add_argument("--traces", required=True, help="trace file or directory to classify")
+    detect.add_argument("--model-dir", type=_path, required=True, help="directory of normal traces")
+    detect.add_argument("--traces", type=_path, required=True, help="trace file or directory to classify")
     detect.add_argument("--sigma", default="0.97",
                         help="decision threshold in [0,1] (default: 0.97)")
     detect.add_argument("--out-dir", type=_output_directory, default=None,
@@ -316,6 +308,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (TraceParseError, ConfigurationError, OSError, ValueError) as exc:
+        if isinstance(exc, ConfigurationError):
+            exc = exc.naming([_FLAG_OF_SETTING.get(field, field) for field in exc.fields])
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

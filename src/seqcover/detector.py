@@ -17,12 +17,12 @@ def _as_fraction(value, name: str) -> Fraction:
 
     A float is read as its decimal rendering: sigma=0.97 means 97/100. A
     value with no finite rational (nan, inf, a non-numeric string) raises
-    ``ConfigurationError`` naming the setting.
+    ``ConfigurationError`` with the field ``name``.
     """
     try:
         return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
     except (ValueError, TypeError, OverflowError):
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}") from None
+        raise ConfigurationError(f"must be a finite number, got {value!r}", name) from None
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class DetectorConfig:
     def __post_init__(self):
         sigma = _as_fraction(self.sigma, "sigma")
         if not 0 <= sigma <= 1:
-            raise ConfigurationError(f"sigma must lie in [0, 1], got {sigma}")
+            raise ConfigurationError(f"must lie in [0, 1], got {self.sigma}", "sigma")
         object.__setattr__(self, "sigma", sigma)
 
     def verdict(self, similarity: Fraction) -> str:

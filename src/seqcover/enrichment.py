@@ -68,23 +68,24 @@ class EnrichmentConfig:
         if self.init_fraction is not None:
             fraction = _as_fraction(self.init_fraction, "init_fraction")
             if not 0 < fraction < 1:
-                raise ConfigurationError(f"init_fraction must lie in (0, 1), got {self.init_fraction}")
+                raise ConfigurationError(f"must lie in (0, 1), got {self.init_fraction}", "init_fraction")
             object.__setattr__(self, "init_fraction", fraction)
         if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigurationError(f"must be >= 1, got {self.batch_size}", "batch_size")
         if self.stop_max_iterations is None:
             stop = Fraction(1, 2) if self.stop_train_fraction is None else self.stop_train_fraction
             fraction = _as_fraction(stop, "stop_train_fraction")
             if not 0 < fraction <= 1:
-                raise ConfigurationError(f"stop_train_fraction must lie in (0, 1], got {stop}")
+                raise ConfigurationError(f"must lie in (0, 1], got {stop}", "stop_train_fraction")
             object.__setattr__(self, "stop_train_fraction", fraction)
         elif self.stop_train_fraction is not None:
-            raise ConfigurationError("at most one stop rule may be set")
+            raise ConfigurationError("are both set; at most one stop rule may be set",
+                                     "stop_train_fraction", "stop_max_iterations")
         elif self.stop_max_iterations < 1:
-            raise ConfigurationError(f"stop_max_iterations must be >= 1, got {self.stop_max_iterations}")
+            raise ConfigurationError(f"must be >= 1, got {self.stop_max_iterations}", "stop_max_iterations")
         # a nan budget compares False with every elapsed time and would never expire
         if self.time_budget_seconds is not None and not self.time_budget_seconds >= 0:
-            raise ConfigurationError(f"time_budget_seconds must be >= 0, got {self.time_budget_seconds}")
+            raise ConfigurationError(f"must be >= 0, got {self.time_budget_seconds}", "time_budget_seconds")
 
 
 @dataclass(frozen=True)

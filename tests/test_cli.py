@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import seqcover.model
 import seqcover.traces
-from seqcover import cli
+from seqcover import ConfigurationError, DetectorConfig, EnrichmentConfig, cli
 from seqcover.cli import main
 
 
@@ -327,10 +329,11 @@ def test_manifest_reproduces_run(synthetic_corpus, tmp_path, capsys):
 # flags for it, under which it runs, then the row's flags; argparse keeps the
 # last value of a repeated flag, so the row's flags override BASE. In flags and
 # fragment, {name} is the path tmp_path/name that refusal_inputs lays out;
-# {missing} and {out} do not exist. A stage names what the refusal must precede:
-# SETTINGS, any trace read; INPUTS, any index built. Every row exits 2 (from
-# main or from argparse), prints nothing on stdout, shows the fragment on
-# stderr, and writes nothing, --out-dir included.
+# {missing} and {out} do not exist; in flags, "" is the empty argument. A
+# stage names what the refusal must precede: SETTINGS, any trace read;
+# INPUTS, any index built. Every row exits 2 (from main or from argparse),
+# prints nothing on stdout, shows the fragment on stderr, and writes
+# nothing, --out-dir included.
 SETTINGS, INPUTS = "settings", "inputs"
 
 _PROTOCOL_BASE = "--train-dir {train} --attack-dir {attack} --init random --out-dir {out}"
@@ -344,6 +347,13 @@ BASE = {
 _NOT_FOUND = "error: not a directory or a trace file: "
 _NOT_A_DIRECTORY = "error: argument --out-dir: {a_file} is not a directory"
 _UNDER_A_FILE = "error: argument --out-dir: cannot create {a_file}/sub: {a_file} is not a directory"
+
+
+def _empty(flag):
+    """The row that refuses an empty path, which would name the current directory."""
+    return f'{flag} ""', SETTINGS, f"error: argument {flag}: must not be empty"
+
+
 _PROTOCOL_REFUSALS = [
     ("--init half", SETTINGS, "argument --init: invalid choice: 'half'"),
     ("--init fixed --init-fraction 5", SETTINGS, "error: --init-fraction applies only to --init random"),
@@ -355,7 +365,8 @@ _PROTOCOL_REFUSALS = [
     ("--stop-fraction 0", SETTINGS, "error: --stop-fraction must lie in (0, 1], got 0.0"),
     ("--stop-fraction nan", SETTINGS, "error: --stop-fraction must be a finite number, got nan"),
     ("--stop-iterations 0", SETTINGS, "error: --stop-iterations must be >= 1, got 0"),
-    ("--stop-fraction 0.5 --stop-iterations 2", SETTINGS, "error: at most one stop rule may be set"),
+    ("--stop-fraction 0.5 --stop-iterations 2", SETTINGS,
+     "error: --stop-fraction and --stop-iterations are both set; at most one stop rule may be set"),
     ("--seed x", SETTINGS, "argument --seed: invalid int value: 'x'"),
     ("--one-trace-per word", SETTINGS, "argument --one-trace-per: invalid choice: 'word'"),
     ("--train-dir {missing}", INPUTS, _NOT_FOUND + "{missing}"),
@@ -370,6 +381,7 @@ _PROTOCOL_REFUSALS = [
     ("--attack-dir {empty}", INPUTS, "error: no attack sequences loaded from {empty}"),
     ("--attack-dir {mix}", INPUTS, "error: {mix}/.DS_Store is not a UTF-8 text trace"),
     ("--init fixed", INPUTS, "error: no normal sequences to score: pass --validation-dir or use --init random"),
+    *(_empty(flag) for flag in ("--train-dir", "--validation-dir", "--attack-dir", "--out-dir")),
     ("--out-dir {a_file}", SETTINGS, _NOT_A_DIRECTORY),
     ("--out-dir {a_file}/sub", SETTINGS, _UNDER_A_FILE),
 ]
@@ -392,8 +404,12 @@ REFUSALS = [
     ("cover", "--out-dir {a_file}", SETTINGS, _NOT_A_DIRECTORY),
     ("cover", "--out-dir {a_file}/sub", SETTINGS, _UNDER_A_FILE),
     ("cover", "--out-dir {dangling}", SETTINGS, "error: argument --out-dir: {dangling} is not a directory"),
-    ("detect", "--sigma nan", SETTINGS, "error: sigma must be a finite number, got 'nan'"),
-    ("detect", "--sigma 2", SETTINGS, "error: sigma must lie in [0, 1], got 2"),
+    *(("cover", *_empty(flag)) for flag in ("--model-dir", "--trace", "--out-dir")),
+    ("detect", "--sigma nan", SETTINGS, "error: --sigma must be a finite number, got 'nan'"),
+    ("detect", "--sigma 2", SETTINGS, "error: --sigma must lie in [0, 1], got 2"),
+    # as typed, not as the rational it reads as (3/2, or a 401-digit integer)
+    ("detect", "--sigma 1.5", SETTINGS, "error: --sigma must lie in [0, 1], got 1.5"),
+    ("detect", "--sigma 1e400", SETTINGS, "error: --sigma must lie in [0, 1], got 1e400"),
     ("detect", "--one-trace-per word", SETTINGS, "argument --one-trace-per: invalid choice: 'word'"),
     ("detect", "--model-dir {missing}", INPUTS, _NOT_FOUND + "{missing}"),
     ("detect", "--model-dir {empty}", INPUTS, "error: no model sequences loaded from {empty}"),
@@ -402,6 +418,7 @@ REFUSALS = [
     ("detect", "--traces {mix}", INPUTS, "error: {mix}/.DS_Store is not a UTF-8 text trace"),
     ("detect", "--out-dir {a_file}", SETTINGS, _NOT_A_DIRECTORY),
     ("detect", "--out-dir {a_file}/sub", SETTINGS, _UNDER_A_FILE),
+    *(("detect", *_empty(flag)) for flag in ("--model-dir", "--traces", "--out-dir")),
     *((command, *row) for command in ("enrich", "compare") for row in _PROTOCOL_REFUSALS),
     ("enrich", "--bins 0", SETTINGS, f"argument --bins: must lie in [1, {cli.MAX_BINS}], got 0"),
     ("enrich", "--bins 1000000000", SETTINGS, f"argument --bins: must lie in [1, {cli.MAX_BINS}], got 1000000000"),
@@ -445,7 +462,8 @@ def refusal_inputs(tmp_path, worked_example, synthetic_corpus):
 
 
 def _argv(command, flags, paths):
-    return [token.format_map(paths) for token in f"{command} {BASE[command]} {flags}".split()]
+    return ["" if token == '""' else token.format_map(paths)
+            for token in f"{command} {BASE[command]} {flags}".split()]
 
 
 def _refusal_id(command, flags, *_):
@@ -489,3 +507,40 @@ def test_refusal(refusal_inputs, tmp_path, monkeypatch, capsys, command, flags, 
     assert (code, captured.out) == (2, "")
     assert fragment.format_map(refusal_inputs) in captured.err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_refusal_prints_the_value_as_typed(refusal_inputs, capsys):
+    # outside REFUSALS, whose fragments are format_map templates: braces in a
+    # value reach stderr as typed, never read as a template
+    assert main(_argv("detect", "", refusal_inputs) + ["--sigma", "{0}"]) == 2
+    assert capsys.readouterr() == ("", "error: --sigma must be a finite number, got '{0}'\n")
+
+
+# Values of the types argparse hands each config field from the flag that sets
+# it, good ones first. Every combination is tried, so every rule is reached.
+_NAN, _INF = float("nan"), float("inf")
+_CLI_VALUES = {
+    DetectorConfig: {"sigma": ["0.5", "nan", "inf", "x", "{0}", "2", "-1", "1e400"]},
+    EnrichmentConfig: {
+        "init_fraction": [None, 0.5, 0.0, 1.0, 1.5, _NAN, _INF],
+        "batch_size": [1, 0, -1],
+        "stop_train_fraction": [None, 0.5, 0.0, 1.5, _NAN],
+        "stop_max_iterations": [None, 2, 0, -1],
+        "rng_seed": [0, -1],
+        "time_budget_seconds": [None, 1.0, -1.0, _NAN],
+    },
+}
+
+
+def test_every_settings_refusal_names_fields_that_map_to_flags():
+    refused = set()
+    for config, values in _CLI_VALUES.items():
+        assert list(values) == [field.name for field in dataclasses.fields(config)]
+        for combination in itertools.product(*values.values()):
+            try:
+                config(**dict(zip(values, combination)))
+            except ConfigurationError as exc:
+                assert exc.fields, f"{exc.rule!r} names no field"
+                assert set(exc.fields) <= set(cli._FLAG_OF_SETTING), f"{exc.fields} has no flag"
+                refused.add(exc.fields)
+    assert refused == {(field,) for field in cli._FLAG_OF_SETTING} | {("stop_train_fraction", "stop_max_iterations")}
