@@ -116,7 +116,7 @@ def _protocol_prologue(args, time_budget_seconds: float | None = None) -> tuple[
     if args.init == "fixed" and init_fraction is not None:
         raise ConfigurationError("--init-fraction applies only to --init random")
     if args.init == "random" and init_fraction is None:
-        init_fraction = 0.1
+        init_fraction = "0.1"
     config = EnrichmentConfig(init_fraction=init_fraction, batch_size=args.batch_size,
                               stop_train_fraction=args.stop_fraction, stop_max_iterations=args.stop_iterations,
                               rng_seed=args.seed, time_budget_seconds=time_budget_seconds)
@@ -246,12 +246,12 @@ def _add_protocol_flags(parser) -> None:
     parser.add_argument("--init", choices=["fixed", "random"], default="fixed",
                         help="initial model: the training split as-is, or a random fraction "
                              "of all normal data (default: fixed)")
-    parser.add_argument("--init-fraction", type=float, default=None,
+    parser.add_argument("--init-fraction",
                         help="fraction of normal data for --init random (default: 0.1); "
                              "rejected under --init fixed")
     parser.add_argument("--batch-size", type=int, default=1,
                         help="worst-scoring normals moved into training per iteration (default: 1)")
-    parser.add_argument("--stop-fraction", type=float, default=None,
+    parser.add_argument("--stop-fraction",
                         help="stop once this fraction of normal data is in training (default: 0.5)")
     parser.add_argument("--stop-iterations", type=int, default=None,
                         help="stop after this many iterations")

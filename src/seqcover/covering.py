@@ -10,10 +10,10 @@ for the empty sequence.
 ``greedy_cover`` is the extractor: one suffix-automaton walk
 (``longest_match_from``) per segment, so extraction is linear in |s|.
 ``greedy_cover_binary`` returns the same segments with every break located
-by a binary search of membership probes. It is an independent reference
-that the tests and the benchmark's checks compare ``greedy_cover`` against;
-no option selects it. The shortest-path oracle for the minimal k lives with
-the tests (``tests/oracles.py``).
+by a binary search of ``contains_range`` probes. It is an independent
+reference that the tests and the benchmark's checks compare
+``greedy_cover`` against; no option selects it. The shortest-path oracle
+for the minimal k lives with the tests (``tests/oracles.py``).
 
 Similarities are exact rationals (``fractions.Fraction``) so that ranking
 by score never hinges on floating-point tie-breaking.
@@ -74,44 +74,29 @@ def greedy_cover(model: NormalModel, s) -> Covering:
 greedy_cover_linear = greedy_cover
 
 
-def find_break_binary(model: NormalModel, s, start: int, end_bound: int) -> int:
-    """Largest t in (start, end_bound] with s[start:t] admissible.
-
-    t == start + 1 is always admissible (single symbol), and admissibility
-    of s[start:t] is monotone in t because substring membership is closed
-    under prefixes, so a binary search applies. Each probe is a fresh
-    membership walk from the start state, costing at most the probed length.
-    """
-    symbols = as_symbols(s)
-    if not 0 <= start < end_bound <= len(symbols):
-        raise ValueError(
-            f"break search bounds [{start}, {end_bound}) invalid for length {len(symbols)}"
-        )
-    index = model.index
-    lo, hi = start + 1, end_bound
-    while lo < hi:
-        mid = (lo + hi + 1) // 2  # mid - start >= 2: never the single-symbol case
-        if index.contains_range(symbols, start, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def greedy_cover_binary(model: NormalModel, s) -> Covering:
     """Greedy covering with each break located by binary search.
 
-    Returns exactly the same segments as ``greedy_cover``; worst-case
-    cost O(k * |s| * log|s|) for a covering of size k.
+    Returns exactly the same segments as ``greedy_cover``. The break after
+    start is the largest t with s[start:t] admissible; t = start + 1 always
+    is, and admissibility is monotone in t because substring membership is
+    closed under prefixes. Worst case O(k * |s| * log|s|) for size k.
     """
     symbols = as_symbols(s)
     n = len(symbols)
+    index = model.index
     segments = []
     start = 0
     while start < n:
-        t = find_break_binary(model, symbols, start, n)
-        segments.append((start, t))
-        start = t
+        lo, hi = start + 1, n
+        while lo < hi:
+            mid = (lo + hi + 1) // 2  # mid - start >= 2: never the single-symbol case
+            if index.contains_range(symbols, start, mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        segments.append((start, lo))
+        start = lo
     return Covering(tuple(segments), n)
 
 

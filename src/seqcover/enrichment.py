@@ -52,14 +52,14 @@ class EnrichmentConfig:
     model and its validation split as the pool; a value f in (0, 1) pools both
     splits and draws floor(f·n + 1/2) of their n traces at random. At most one
     stop rule may be set, the share of normal data in training or an iteration
-    count; with neither, the run stops at half. Both fractions are read as
-    exact rationals. ``time_budget_seconds`` (comparison runs) caps each
-    method's wall-clock time after its first iteration.
+    count; with neither, the run stops at half. Both fractions, as strings
+    too, are read as exact rationals. ``time_budget_seconds`` (comparison
+    runs) caps each method's wall-clock time after its first iteration.
     """
 
-    init_fraction: Fraction | float | None = None
+    init_fraction: Fraction | float | str | None = None
     batch_size: int = 1
-    stop_train_fraction: Fraction | float | None = None
+    stop_train_fraction: Fraction | float | str | None = None
     stop_max_iterations: int | None = None
     rng_seed: int = 0
     time_budget_seconds: float | None = None

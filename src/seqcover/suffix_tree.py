@@ -16,11 +16,12 @@ indexed symbol (23.3 MB); with a dict per state it took about 421 B.
 
 The automaton is the DAWG of Blumer et al. (1985): every substring of the
 indexed data spells exactly one path from state 0, and nothing else does.
-It answers four questions; the arrays behind them are private to this
-module, so the layout can change without touching a caller:
+It answers three questions, the first two with one walk from state 0; the
+arrays behind them are private to this module, so the layout can change
+without touching a caller:
 
-  * ``contains(q)``, ``contains_range(q, i, j)`` -- is q, or q[i:j], a
-        contiguous substring of an indexed sequence? O(|q|).
+  * ``contains_range(q, i, j)`` -- is q[i:j] a contiguous substring of an
+        indexed sequence? O(length of the match).
   * ``longest_match_from(s, i)`` -- how far does s[i:] match into the
         index? O(length of the match).
   * ``longest_common_substring(s)`` -- the longest contiguous run of s
@@ -147,22 +148,10 @@ class GeneralizedSuffixIndex:
 
     # -- queries ------------------------------------------------------
 
-    def contains(self, query) -> bool:
-        """True iff the query is a contiguous substring of an indexed sequence."""
-        symbols = as_symbols(query)
-        if not symbols:
-            raise ValueError("contains() requires a non-empty query")
-        return self.contains_range(symbols, 0, len(symbols))
-
-    def contains_range(self, symbols, start: int, end: int) -> bool:
-        """``contains`` over symbols[start:end] without materializing a slice.
-
-        The walk stops at the first symbol with no transition, so a probe
-        costs time proportional to how far it matches, never to the probed
-        length.
-        """
-        if not 0 <= start < end <= len(symbols):
-            raise ValueError(f"range [{start}, {end}) invalid for length {len(symbols)}")
+    def _prefix(self, symbols, start: int, end: int) -> int:
+        """Length of the longest indexed prefix of symbols[start:end]: a walk
+        from state 0 that stops at the first symbol with no transition, so
+        it costs what it matches, never the probed length."""
         sym, to, more = self._sym, self._to, self._more
         state = 0
         for i in range(start, end):
@@ -172,36 +161,27 @@ class GeneralizedSuffixIndex:
             else:
                 rest = more[state]
                 if rest is None:
-                    return False
+                    return i - start
                 state = rest.get(c)
                 if state is None:
-                    return False
-        return True
+                    return i - start
+        return end - start
+
+    def contains_range(self, symbols, start: int, end: int) -> bool:
+        """True iff symbols[start:end], non-empty, is a contiguous substring of
+        an indexed sequence; no slice is materialized."""
+        if not 0 <= start < end <= len(symbols):
+            raise ValueError(f"range [{start}, {end}) invalid for length {len(symbols)}")
+        return self._prefix(symbols, start, end) == end - start
 
     def longest_match_from(self, s, start: int) -> int:
-        """Largest L >= 1 such that L == 1 or s[start:start+L] is indexed.
-
-        A single walk from state 0; the floor of 1 reflects that any single
-        symbol is an admissible covering segment even when it never occurs
-        in the indexed set.
-        """
+        """Largest L >= 1 such that L == 1 or s[start:start+L] is indexed; the
+        floor of 1 is there because any single symbol is an admissible
+        covering segment, even one that never occurs in the indexed set."""
         symbols = as_symbols(s)
         if not 0 <= start < len(symbols):
             raise ValueError(f"start {start} out of range for length {len(symbols)}")
-        sym, to, more = self._sym, self._to, self._more
-        state = 0
-        for i in range(start, len(symbols)):
-            c = symbols[i]
-            if sym[state] == c:
-                state = to[state]
-            else:
-                rest = more[state]
-                if rest is None:
-                    return max(i - start, 1)
-                state = rest.get(c)
-                if state is None:
-                    return max(i - start, 1)
-        return len(symbols) - start
+        return max(self._prefix(symbols, start, len(symbols)), 1)
 
     def longest_common_substring(self, s) -> int:
         """Length of the longest contiguous run of s that is indexed; 0 if none.

@@ -130,11 +130,14 @@ def read_trace_text(path: Path) -> str:
         raise TraceParseError(f"{path} is not a UTF-8 text trace: {exc}") from None
 
 
-def _read(root: Path, one_trace_per: str) -> Iterator[Sequence]:
+def _read(root, one_trace_per: str) -> Iterator[Sequence]:
     """The traces of root, a trace file or a directory walked recursively in
     sorted path order."""
     if one_trace_per not in ("file", "line"):
         raise ConfigurationError(f"one_trace_per must be 'file' or 'line', got {one_trace_per!r}")
+    if root == "":
+        raise ConfigurationError("not a directory or a trace file: ''")
+    root = Path(root)
     if root.is_dir():
         # sorted for deterministic dataset order regardless of filesystem
         paths = sorted(p for p in root.rglob("*") if p.is_file())
@@ -161,21 +164,23 @@ def _read(root: Path, one_trace_per: str) -> Iterator[Sequence]:
 
 def load_traces(path, one_trace_per: str = "file") -> list[Sequence]:
     """Load one trace file, or every trace under a directory (recursively,
-    sorted by path). Empty trace files are dropped with a warning."""
-    return list(_read(Path(path), one_trace_per))
+    sorted by path). Empty trace files are dropped with a warning. The
+    empty path is refused, as ``Path("")`` would name the current directory."""
+    return list(_read(path, one_trace_per))
 
 
 def load_dataset(train_dir, validation_dir, attack_dir, one_trace_per: str = "file") -> Dataset:
     """Load a full dataset from trace directories.
 
-    ``validation_dir`` may be None for corpora that ship a single normal
-    pool (the enrichment protocols can then split it randomly).
-    Exact-content duplicates are removed within each normal split, and any
-    validation sequence already present in training is dropped, so no
-    sequence appears in both. Attack traces are never deduplicated.
+    ``validation_dir`` may be None, and only None, for corpora that ship a
+    single normal pool (the enrichment protocols can then split it
+    randomly); ``""`` is refused like any other empty path. Exact-content
+    duplicates are removed within each normal split, and any validation
+    sequence already present in training is dropped, so no sequence
+    appears in both. Attack traces are never deduplicated.
     """
     train = load_traces(train_dir, one_trace_per)
-    validation = load_traces(validation_dir, one_trace_per) if validation_dir else []
+    validation = [] if validation_dir is None else load_traces(validation_dir, one_trace_per)
     attacks = load_traces(attack_dir, one_trace_per)
 
     loaded = len(validation)
@@ -186,9 +191,9 @@ def load_dataset(train_dir, validation_dir, attack_dir, one_trace_per: str = "fi
 
     if not train:
         raise ConfigurationError(f"no training sequences loaded from {train_dir}")
-    if validation_dir and not loaded:
+    if validation_dir is not None and not loaded:
         raise ConfigurationError(f"no validation sequences loaded from {validation_dir}")
-    if validation_dir and not validation:
+    if validation_dir is not None and not validation:
         raise ConfigurationError(
             f"all {loaded} validation sequences loaded from {validation_dir} duplicate training sequences")
     if not attacks:

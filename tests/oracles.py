@@ -42,7 +42,7 @@ def in_s_sub(model, symbols) -> bool:
     """
     if len(symbols) == 1:
         return True
-    return model.index.contains(symbols)
+    return model.index.contains_range(symbols, 0, len(symbols))
 
 
 def dp_optimal_cover_oracle(model, s, max_len: int = 256) -> int:

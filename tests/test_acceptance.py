@@ -127,10 +127,10 @@ def test_criterion_4_property_suite(random_instances):
     for seqs, s in random_instances[200:400]:
         index = GeneralizedSuffixIndex(seqs)
         query = s.symbols[: rng.randint(1, len(s))]
-        assert index.contains(query) == naive_contains(seqs, query)
-        if index.contains(query):
+        assert index.contains_range(query, 0, len(query)) == naive_contains(seqs, query)
+        if index.contains_range(query, 0, len(query)):
             for cut in range(1, len(query) + 1):
-                assert index.contains(query[:cut])
+                assert index.contains_range(query, 0, cut)
     _report(4, "similarity bounds, S-monotonicity, pairwise symmetry, prefix closure")
 
 

@@ -358,12 +358,15 @@ _PROTOCOL_REFUSALS = [
     ("--init half", SETTINGS, "argument --init: invalid choice: 'half'"),
     ("--init fixed --init-fraction 5", SETTINGS, "error: --init-fraction applies only to --init random"),
     ("--init-fraction 1.5", SETTINGS, "error: --init-fraction must lie in (0, 1), got 1.5"),
-    ("--init-fraction nan", SETTINGS, "error: --init-fraction must be a finite number, got nan"),
-    ("--init-fraction half", SETTINGS, "argument --init-fraction: invalid float value: 'half'"),
+    ("--init-fraction nan", SETTINGS, "error: --init-fraction must be a finite number, got 'nan'"),
+    ("--init-fraction half", SETTINGS, "error: --init-fraction must be a finite number, got 'half'"),
+    # as typed: read as a float, 1e400 would overflow to inf and be refused as not finite
+    ("--init-fraction 1e400", SETTINGS, "error: --init-fraction must lie in (0, 1), got 1e400"),
     ("--batch-size 0", SETTINGS, "error: --batch-size must be >= 1, got 0"),
     ("--batch-size 1.5", SETTINGS, "argument --batch-size: invalid int value: '1.5'"),
-    ("--stop-fraction 0", SETTINGS, "error: --stop-fraction must lie in (0, 1], got 0.0"),
-    ("--stop-fraction nan", SETTINGS, "error: --stop-fraction must be a finite number, got nan"),
+    # the line ends at the value as typed, not at 0.0
+    ("--stop-fraction 0", SETTINGS, "error: --stop-fraction must lie in (0, 1], got 0\n"),
+    ("--stop-fraction nan", SETTINGS, "error: --stop-fraction must be a finite number, got 'nan'"),
     ("--stop-iterations 0", SETTINGS, "error: --stop-iterations must be >= 1, got 0"),
     ("--stop-fraction 0.5 --stop-iterations 2", SETTINGS,
      "error: --stop-fraction and --stop-iterations are both set; at most one stop rule may be set"),
@@ -518,16 +521,15 @@ def test_a_refusal_prints_the_value_as_typed(refusal_inputs, capsys):
 
 # Values of the types argparse hands each config field from the flag that sets
 # it, good ones first. Every combination is tried, so every rule is reached.
-_NAN, _INF = float("nan"), float("inf")
 _CLI_VALUES = {
     DetectorConfig: {"sigma": ["0.5", "nan", "inf", "x", "{0}", "2", "-1", "1e400"]},
     EnrichmentConfig: {
-        "init_fraction": [None, 0.5, 0.0, 1.0, 1.5, _NAN, _INF],
+        "init_fraction": [None, "0.5", "0", "1", "1.5", "nan", "inf", "1e400", "half"],
         "batch_size": [1, 0, -1],
-        "stop_train_fraction": [None, 0.5, 0.0, 1.5, _NAN],
+        "stop_train_fraction": [None, "0.5", "0", "1.5", "nan"],
         "stop_max_iterations": [None, 2, 0, -1],
         "rng_seed": [0, -1],
-        "time_budget_seconds": [None, 1.0, -1.0, _NAN],
+        "time_budget_seconds": [None, 1.0, -1.0, float("nan")],
     },
 }
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from conftest import RAW_SYMBOLS, S1, S2, S3, S4
 from oracles import dp_optimal_cover_oracle, in_s_sub
 from seqcover import (
+    GeneralizedSuffixIndex,
     NormalModel,
     Sequence,
     covering_similarity,
     pairwise_similarity,
     ratio_str,
 )
-from seqcover.covering import find_break_binary, greedy_cover_binary, greedy_cover_linear
+from seqcover.covering import greedy_cover, greedy_cover_binary, greedy_cover_linear
 
 
 class TestWorkedExample:
@@ -74,24 +75,19 @@ def test_all_empty_model_behaves_like_empty():
 
 
 class TestFindBreakBinary:
+    """The binary break search of ``greedy_cover_binary``, read off its first segment."""
+
     def test_break_after_matched_prefix(self):
         model = NormalModel((Sequence((1, 2, 3), "m"),))
-        assert find_break_binary(model, Sequence((1, 2, 9)), 0, 3) == 2
+        assert greedy_cover_binary(model, Sequence((1, 2, 9))).segments[0] == (0, 2)
 
     def test_full_match_returns_end_bound(self):
         model = NormalModel((Sequence((1, 2, 3), "m"),))
-        assert find_break_binary(model, Sequence((1, 2, 3)), 0, 3) == 3
+        assert greedy_cover_binary(model, Sequence((1, 2, 3))).segments[0] == (0, 3)
 
     def test_unseen_symbol_floor(self):
         model = NormalModel((Sequence((7,), "m"),))
-        assert find_break_binary(model, Sequence((8, 8)), 0, 2) == 1
-
-    def test_bounds_checked(self):
-        model = NormalModel((Sequence((1,), "m"),))
-        with pytest.raises(ValueError):
-            find_break_binary(model, Sequence((1, 2)), 2, 2)
-        with pytest.raises(ValueError):
-            find_break_binary(model, Sequence((1, 2)), 0, 3)
+        assert greedy_cover_binary(model, Sequence((8, 8))).segments[0] == (0, 1)
 
 
 def _random_instance(rng):
@@ -117,6 +113,25 @@ def test_variants_identical_randomized():
     for _ in range(250):
         model, s = _random_instance(rng)
         assert greedy_cover_linear(model, s).segments == greedy_cover_binary(model, s).segments
+
+
+def test_greedy_cover_walks_the_index_once_per_segment(monkeypatch):
+    # the benchmark counts covering probes on longest_match_from, and its
+    # traced runs require one per segment
+    walks = []
+    longest_match_from = GeneralizedSuffixIndex.longest_match_from
+
+    def counted(index, s, start):
+        walks.append(start)
+        return longest_match_from(index, s, start)
+
+    monkeypatch.setattr(GeneralizedSuffixIndex, "longest_match_from", counted)
+    rng = random.Random(20240314)
+    for _ in range(100):
+        model, s = _random_instance(rng)
+        walks.clear()
+        cover = greedy_cover(model, s)
+        assert walks == [start for start, _ in cover.segments]
 
 
 def test_segments_partition_and_are_maximal():

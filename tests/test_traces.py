@@ -180,6 +180,28 @@ def test_load_dataset_missing_dir(tmp_path):
         load_dataset(tmp_path / "nope", None, tmp_path / "nope2")
 
 
+def test_load_traces_refuses_the_empty_path(tmp_path, monkeypatch):
+    # Path("") is the current directory, which here holds a trace
+    _write(tmp_path, "x.txt", "1 2 3")
+    monkeypatch.chdir(tmp_path)
+    assert len(load_traces(".")) == 1
+    with pytest.raises(ConfigurationError, match="not a directory or a trace file: ''"):
+        load_traces("")
+
+
+@pytest.mark.parametrize("split", ["train", "validation", "attack"])
+def test_load_dataset_refuses_an_empty_path_for_any_split(tmp_path, monkeypatch, split):
+    # only None means "no validation split"; "" would be the current directory
+    _write(tmp_path / "train", "t0.txt", "1 2 3")
+    _write(tmp_path / "validation", "v0.txt", "4 5")
+    _write(tmp_path / "attack", "a0.txt", "9")
+    _write(tmp_path, "x.txt", "6 7")
+    monkeypatch.chdir(tmp_path)
+    dirs = {name: name for name in ("train", "validation", "attack")} | {split: ""}
+    with pytest.raises(ConfigurationError, match="not a directory or a trace file: ''"):
+        load_dataset(dirs["train"], dirs["validation"], dirs["attack"])
+
+
 def test_load_traces_drops_empty_files_with_warning(tmp_path, caplog):
     _write(tmp_path / "d", "full.txt", "1 2")
     _write(tmp_path / "d", "empty.txt", "")
