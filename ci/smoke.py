@@ -69,14 +69,15 @@ RUNS = (
         ("covering.probes", "==", "covering.segments"),
         ("baselines.pairs", "==", 11070),
     )),
-    # 833 training + 1,000 validation + 746 attack files; with a dict only
-    # at branch states the index peaks at about 23.5 MB (120.9 with a dict
-    # per state), on detect too
+    # 833 training + 1,000 validation + 746 attack files; with 4-byte arrays
+    # and a map of branch states the index peaks at about 16.9 MB (23.5 with
+    # 8-byte arrays and a dict slot in every state, 120.9 with a dict per
+    # state), and at 15.6 MB on detect
     Run("enrich-traced", "enrich", 1, trace=1, checks=(
         ("suffix_tree.builds", "==", 1),
         ("enrichment.iterations", "==", 4),
         ("traces.files", "==", 2579),
-        ("suffix_tree.build_peak_mb", "<", 60),
+        ("suffix_tree.build_peak_mb", "<", 20),
     )),
     Run("detect", "detect", 1, seconds=1),
     # 833 training + 5,118 batch files
@@ -84,7 +85,7 @@ RUNS = (
         ("suffix_tree.builds", "==", 1),
         ("covering.probes", "==", "covering.segments"),
         ("traces.files", "==", 5951),
-        ("suffix_tree.build_peak_mb", "<", 60),
+        ("suffix_tree.build_peak_mb", "<", 20),
     )),
 )
 STEPS = tuple(dict.fromkeys(run.step for run in RUNS))

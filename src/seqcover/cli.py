@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .detector import ANOMALY, DetectorConfig, anomaly_score, classify, score_batch
+from .detector import ANOMALY, DetectorConfig, anomaly_score, classify, score_each
 from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, _initial_split, run_enrichment
 from .errors import ConfigurationError, TraceParseError
 from .evaluation import histogram, roc_curve
@@ -84,14 +84,15 @@ def cmd_detect(args) -> int:
     if not batch:
         raise ConfigurationError(f"no traces loaded from {args.traces}")
     model, out_dir = _model_and_out_dir(args)
-    scored = score_batch(model, config, batch)
-    lines = [json.dumps(item.as_record()) for item in scored]
+    lines, anomalies = [], 0
+    for item in score_each(model, config, batch):  # each trace is freed once scored
+        lines.append(json.dumps(item.as_record()))
+        anomalies += item.verdict == ANOMALY
     for line in lines:
         print(line)
-    anomalies = sum(1 for item in scored if item.verdict == ANOMALY)
     print(
-        f"scored {len(scored)} traces at sigma={float(config.sigma):g}: "
-        f"{len(scored) - anomalies} normal, {anomalies} anomaly",
+        f"scored {len(lines)} traces at sigma={float(config.sigma):g}: "
+        f"{len(lines) - anomalies} normal, {anomalies} anomaly",
         file=sys.stderr,
     )
     if out_dir:
@@ -110,7 +111,7 @@ _FLAG_OF_SETTING = {
 }
 
 
-def _protocol_prologue(args, time_budget_seconds: float | None = None) -> tuple[Dataset, EnrichmentConfig, Path]:
+def _protocol_prologue(args, time_budget_seconds: str | None = None) -> tuple[Dataset, EnrichmentConfig, Path]:
     """Check the settings, then the data, and only then create ``--out-dir``."""
     init_fraction = args.init_fraction
     if args.init == "fixed" and init_fraction is not None:
@@ -296,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_protocol_flags(compare)
     compare.add_argument("--methods", default="SC4ID",
                          help="comma-separated subset of SC4ID,LEV,LCSq,LCSt")
-    compare.add_argument("--per-method-budget-seconds", type=float, default=None,
+    compare.add_argument("--per-method-budget-seconds", default=None,
                          help="abort a method once its total runtime exceeds this")
     compare.set_defaults(func=cmd_compare)
 

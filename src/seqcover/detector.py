@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .covering import Covering, greedy_cover, ratio_str
 from .errors import ConfigurationError
@@ -91,3 +92,12 @@ def classify(model: NormalModel, config: DetectorConfig, s: Sequence) -> ScoredS
 def score_batch(model: NormalModel, config: DetectorConfig, batch) -> list[ScoredSequence]:
     """Element-wise classify, input order preserved."""
     return [classify(model, config, s) for s in batch]
+
+
+def score_each(model: NormalModel, config: DetectorConfig, batch: list) -> Iterator[ScoredSequence]:
+    """Classify the traces of batch in order, taking each out of the list as
+    it is scored: the list ends empty, and a trace held nowhere else is freed
+    once its score is handed over."""
+    batch.reverse()
+    while batch:
+        yield classify(model, config, batch.pop())

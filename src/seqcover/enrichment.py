@@ -54,7 +54,8 @@ class EnrichmentConfig:
     stop rule may be set, the share of normal data in training or an iteration
     count; with neither, the run stops at half. Both fractions, as strings
     too, are read as exact rationals. ``time_budget_seconds`` (comparison
-    runs) caps each method's wall-clock time after its first iteration.
+    runs), a finite number of seconds >= 0, as a string too, caps each
+    method's wall-clock time after its first iteration.
     """
 
     init_fraction: Fraction | float | str | None = None
@@ -62,7 +63,7 @@ class EnrichmentConfig:
     stop_train_fraction: Fraction | float | str | None = None
     stop_max_iterations: int | None = None
     rng_seed: int = 0
-    time_budget_seconds: float | None = None
+    time_budget_seconds: float | str | None = None
 
     def __post_init__(self):
         if self.init_fraction is not None:
@@ -83,9 +84,18 @@ class EnrichmentConfig:
                                      "stop_train_fraction", "stop_max_iterations")
         elif self.stop_max_iterations < 1:
             raise ConfigurationError(f"must be >= 1, got {self.stop_max_iterations}", "stop_max_iterations")
-        # a nan budget compares False with every elapsed time and would never expire
-        if self.time_budget_seconds is not None and not self.time_budget_seconds >= 0:
-            raise ConfigurationError(f"must be >= 0, got {self.time_budget_seconds}", "time_budget_seconds")
+        if self.time_budget_seconds is not None:
+            budget = self.time_budget_seconds
+            try:
+                seconds = float(budget)
+            except (ValueError, TypeError):
+                seconds = math.nan
+            # a nan or infinite budget would never expire
+            if not math.isfinite(seconds):
+                raise ConfigurationError(f"must be a finite number, got {budget!r}", "time_budget_seconds")
+            if seconds < 0:
+                raise ConfigurationError(f"must be >= 0, got {budget}", "time_budget_seconds")
+            object.__setattr__(self, "time_budget_seconds", seconds)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ the last digit, not merely within tolerance.
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 
 from .errors import ConfigurationError
@@ -24,8 +25,14 @@ def _roc_counts(normal_scores, attack_scores) -> list[tuple[int, int]]:
         raise ConfigurationError("ROC needs attack scores: the positive class is empty")
     if not normal_scores:
         raise ConfigurationError("ROC needs normal scores: the negative class is empty")
-    pooled = [(score, 1) for score in _fractions(attack_scores)]
-    pooled += [(score, 0) for score in _fractions(normal_scores)]
+    attacks, normals = _fractions(attack_scores), _fractions(normal_scores)
+    # Two distinct rationals whose denominators are at most d differ by at
+    # least 1/d², so numerator·d² // denominator is an int key that orders
+    # and ties the scores exactly as their values do, and sorts without a
+    # Fraction comparison.
+    scale = max(value.denominator for value in chain(attacks, normals)) ** 2
+    pooled = [(value.numerator * scale // value.denominator, 1) for value in attacks]
+    pooled += [(value.numerator * scale // value.denominator, 0) for value in normals]
     pooled.sort(key=itemgetter(0), reverse=True)
     counts = []
     true_pos = 0

@@ -10,9 +10,11 @@ numbers are unbounded small integers).
 
 Most states have exactly one outgoing transition (95% of them on an
 ADFA-LD-sized training set of 300,833 symbols), so a state's first
-transition sits in two flat per-state slots and only a branch state has a
-dict, for the rest. Building that index peaks at about 81 B of heap per
-indexed symbol (23.3 MB); with a dict per state it took about 421 B.
+transition sits in two flat per-state slots, and only a branch state has a
+dict, for the rest, in one map keyed by state. With 4-byte arrays a state
+costs 20 B plus its branch dict, if any: building that index peaks at about
+54 B of heap per indexed symbol (15.6 MB). With 8-byte arrays and a slot
+for a dict in every state it took 81 B; with a dict per state, 421 B.
 
 The automaton is the DAWG of Blumer et al. (1985): every substring of the
 indexed data spells exactly one path from state 0, and nothing else does.
@@ -45,25 +47,29 @@ class GeneralizedSuffixIndex:
     """Substring, maximal-prefix and common-substring queries over a set of sequences.
 
     State v's first transition reads ``_sym[v]`` (``_NONE`` if v has none)
-    and leads to ``_to[v]``; ``_more[v]`` maps the symbol of each further
-    transition to its target, and is None for a state with at most one.
-    ``_link[v]`` is v's suffix link (-1 for state 0) and ``_length[v]`` the
-    length of the longest string that reaches v. ``extend`` appends
-    sequences in place, and the result is the index a single build over all
-    of them, in the same order, would give. Queries keep all their state in
-    locals, so any number of readers may run concurrently between extensions.
+    and leads to ``_to[v]``; if v has more, ``_more[v]`` maps the symbol of
+    each further transition to its target, and ``_more`` holds no other
+    state. ``_link[v]`` is v's suffix link (-1 for state 0) and
+    ``_length[v]`` the length of the longest string that reaches v.
+    ``extend`` appends sequences in place, and the result is the index a
+    single build over all of them, in the same order, would give. Queries
+    keep all their state in locals, so any number of readers may run
+    concurrently between extensions.
     """
 
+    _state_cap = 2**31 - 1  # states are numbered in array("i") slots
+
     def __init__(self, sequences: Iterable = ()):
-        # The cyclic GC tracks the two lists (each is one container that a
-        # full collection walks once) but not the int arrays, nor the dicts,
-        # which hold only ints and sentinels. A build allocates a container
-        # only per branch state, so it triggers few collections.
+        # The cyclic GC tracks the symbol list and the branch map (each one
+        # container that a full collection walks once) but not the int
+        # arrays, nor the branch dicts, which hold only ints and sentinels. A
+        # build allocates a container only per branch state, so it triggers
+        # few collections.
         self._sym: list = [_NONE]
-        self._to = array("q", [0])
-        self._more: list[dict | None] = [None]
-        self._link = array("q", [-1])
-        self._length = array("q", [0])
+        self._to = array("i", [0])
+        self._more: dict[int, dict] = {}
+        self._link = array("i", [-1])
+        self._length = array("i", [0])
         self.sequence_count = 0
         self._last = 0  # the state of the whole data indexed so far
         self.extend(sequences)
@@ -74,11 +80,18 @@ class GeneralizedSuffixIndex:
         """Append sequences to the indexed data.
 
         The automaton is online, so this leaves exactly the index that one
-        build over the earlier sequences followed by these would give.
+        build over the earlier sequences followed by these would give. A
+        sequence that could take the index past ``_state_cap`` states raises
+        ``ValueError`` before anything of it is written; the sequences before
+        it stay indexed.
         """
         for seq in sequences:
             symbols = as_symbols(seq)
             if symbols:  # empty sequences contribute no substrings
+                # each symbol and the sentinel add a state and at most one clone
+                if len(self._sym) + 2 * (len(symbols) + 1) > self._state_cap:
+                    raise ValueError(f"indexing {len(symbols)} more symbols could pass the cap of "
+                                     f"{self._state_cap} states; nothing of them was indexed")
                 self._last = self._add(self._last, symbols)
                 self.sequence_count += 1
 
@@ -86,12 +99,11 @@ class GeneralizedSuffixIndex:
         """Append symbols and a unique sentinel to the indexed data; returns
         the state of the whole data, from which the next sequence extends."""
         sym, to, more, link, length = self._sym, self._to, self._more, self._link, self._length
-        new_sym, new_to, new_more, new_link, new_length = sym.append, to.append, more.append, link.append, length.append
+        new_sym, new_to, new_link, new_length = sym.append, to.append, link.append, length.append
         for c in chain(symbols, (object(),)):
             cur = len(sym)
             new_sym(_NONE)
             new_to(0)
-            new_more(None)
             new_length(length[last] + 1)
             new_link(0)
             # every state on last's suffix path up to the first p that reads
@@ -109,7 +121,7 @@ class GeneralizedSuffixIndex:
                     q = to[p]
                     break
                 else:
-                    rest = more[p]
+                    rest = more.get(p)
                     if rest is None:
                         more[p] = {c: cur}
                     else:
@@ -125,8 +137,9 @@ class GeneralizedSuffixIndex:
                     clone = len(sym)
                     new_sym(sym[q])
                     new_to(to[q])
-                    rest = more[q]
-                    new_more(None if rest is None else rest.copy())
+                    rest = more.get(q)
+                    if rest is not None:
+                        more[clone] = rest.copy()
                     new_length(length[p] + 1)
                     new_link(link[q])
                     # every suffix-link ancestor of p reads c too
@@ -159,7 +172,7 @@ class GeneralizedSuffixIndex:
             if sym[state] == c:
                 state = to[state]
             else:
-                rest = more[state]
+                rest = more.get(state)
                 if rest is None:
                     return i - start
                 state = rest.get(c)
@@ -191,7 +204,7 @@ class GeneralizedSuffixIndex:
         the symbol extends, so the cost is O(|s|).
         """
         sym, to, more, link, length = self._sym, self._to, self._more, self._link, self._length
-        first, rest = sym[0], more[0] or {}  # state 0 reads every indexed symbol
+        first, rest = sym[0], more.get(0, {})  # state 0 reads every indexed symbol
         state = matched = best = 0  # matched is 0 whenever state is 0
         for c in as_symbols(s):
             if sym[state] == c:
@@ -204,7 +217,7 @@ class GeneralizedSuffixIndex:
                 # state's first slot does not read c: try its dict, then
                 # each suffix-link ancestor's two slots, down to state 0
                 while state:
-                    branch = more[state]
+                    branch = more.get(state)
                     if branch is not None and c in branch:
                         state = branch[c]
                         break
@@ -227,7 +240,7 @@ class GeneralizedSuffixIndex:
         sym = self._sym
         return {
             "nodes": len(sym),
-            "edges": len(sym) - sym.count(_NONE) + sum(len(rest) for rest in self._more if rest),
+            "edges": len(sym) - sym.count(_NONE) + sum(map(len, self._more.values())),
             "indexed_symbols": max(self._length),  # the whole data reaches the last state
             "sequences": self.sequence_count,
         }

@@ -430,8 +430,17 @@ REFUSALS = [
     ("compare", "--methods SC4ID,NOPE", SETTINGS,
      "error: unknown method 'NOPE', expected any of SC4ID, LEV, LCSq, LCSt"),
     ("compare", "--methods ,", SETTINGS, "error: no methods requested"),
-    ("compare", "--per-method-budget-seconds nan", SETTINGS, "error: --per-method-budget-seconds must be >= 0, got nan"),
-    ("compare", "--per-method-budget-seconds -1", SETTINGS, "error: --per-method-budget-seconds must be >= 0, got -1.0"),
+    ("compare", "--per-method-budget-seconds nan", SETTINGS,
+     "error: --per-method-budget-seconds must be a finite number, got 'nan'"),
+    # a budget that never expires; read as a float, 1e400 overflows to inf
+    ("compare", "--per-method-budget-seconds inf", SETTINGS,
+     "error: --per-method-budget-seconds must be a finite number, got 'inf'"),
+    ("compare", "--per-method-budget-seconds 1e400", SETTINGS,
+     "error: --per-method-budget-seconds must be a finite number, got '1e400'"),
+    ("compare", "--per-method-budget-seconds x", SETTINGS,
+     "error: --per-method-budget-seconds must be a finite number, got 'x'"),
+    # the line ends at the value as typed, not at -1.0
+    ("compare", "--per-method-budget-seconds -1", SETTINGS, "error: --per-method-budget-seconds must be >= 0, got -1\n"),
 ]
 
 
@@ -529,7 +538,7 @@ _CLI_VALUES = {
         "stop_train_fraction": [None, "0.5", "0", "1.5", "nan"],
         "stop_max_iterations": [None, 2, 0, -1],
         "rng_seed": [0, -1],
-        "time_budget_seconds": [None, 1.0, -1.0, float("nan")],
+        "time_budget_seconds": [None, "1", "-1", "nan", "inf", "1e400", "x"],
     },
 }
 

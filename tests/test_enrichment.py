@@ -283,9 +283,10 @@ def test_config_validation():
     assert EnrichmentConfig(stop_train_fraction=None).stop_train_fraction == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("budget", [-1.0, float("nan")])
+@pytest.mark.parametrize("budget", [-1.0, float("nan"), float("inf")])
 def test_negative_or_nan_time_budget_rejected(budget):
-    # nan compares False with every elapsed time, so such a budget would never expire
+    # nan compares False with every elapsed time and inf exceeds every one,
+    # so such a budget would never expire
     with pytest.raises(ConfigurationError, match="time_budget_seconds"):
         EnrichmentConfig(time_budget_seconds=budget)
 

@@ -32,6 +32,23 @@ def mixed_score_classes(draw):
     return draw(drawn), draw(drawn)
 
 
+@st.composite
+def close_score_classes(draw):
+    """Two classes drawn from one pool of rationals with denominators up to
+    10**40 and values in [-3, 3], so ties cross the classes. Each value n/d
+    enters with the neighbour c/e for which c·d - n·e = 1: the closest pair
+    that such denominators allow, 1/(d·e) apart."""
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        denominator = draw(st.integers(1, 10**40))
+        value = Fraction(draw(st.integers(-3 * denominator, 3 * denominator)), denominator)
+        n, d = value.numerator, value.denominator
+        e = -pow(n, -1, d) % d if d > 1 else 1
+        pool += [value, Fraction((1 + n * e) // d, e)]
+    drawn = st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    return draw(drawn), draw(drawn)
+
+
 def test_perfect_separation():
     curve = roc_curve([0, 0, 0], [1, 1])
     assert (Fraction(0), Fraction(1)) in curve
@@ -85,6 +102,18 @@ def test_sweep_is_exact_on_mixed_scores(classes):
         area = auc_from_scores(normals, attacks)
         assert area == trapezoid_auc_oracle(trapezoid_roc_oracle(normals, attacks))
         assert area == rank_auc(normals, attacks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(close_score_classes())
+@example(([Fraction(1, 10**40), Fraction(1, 10**40 - 1)], [Fraction(1, 10**40 - 1)]))  # the same float
+@example(([Fraction(-7, 2), 3], [Fraction(-3, 1), Fraction(-7, 2)]))
+def test_sweep_is_exact_on_close_rationals(classes):
+    for normals, attacks in (classes, classes[::-1]):
+        points = trapezoid_roc_oracle(normals, attacks)
+        assert roc_curve(normals, attacks) == points
+        area = auc_from_scores(normals, attacks)
+        assert area == trapezoid_auc_oracle(points) == rank_auc(normals, attacks)
 
 
 @pytest.mark.parametrize("function", [roc_curve, auc_from_scores, rank_auc])

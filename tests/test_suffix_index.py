@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import RAW_SYMBOLS
 from oracles import lcst_dp, naive_contains, naive_longest_match
 from seqcover import GeneralizedSuffixIndex, Sequence
+from seqcover.suffix_tree import _NONE
 
 
 def _index(*seqs):
@@ -251,3 +253,59 @@ def test_longest_common_substring_ignores_an_injective_relabelling(sequences, qu
     expected = max(lcst_dp(a, query) for a in sequences)
     assert GeneralizedSuffixIndex(sequences).longest_common_substring(query) == expected
     assert GeneralizedSuffixIndex(map(relabel, sequences)).longest_common_substring(relabel(query)) == expected
+
+
+def _layout(idx):
+    """Every slot of the index, with each sequence's sentinel read as one
+    marker: a fresh build makes fresh sentinels."""
+    def symbol(value):
+        return value if type(value) is int else "none" if value is _NONE else "sentinel"
+
+    more = {state: {symbol(c): target for c, target in rest.items()} for state, rest in idx._more.items()}
+    return ([symbol(c) for c in idx._sym], idx._to, more, idx._link, idx._length, idx.stats())
+
+
+def test_extend_refuses_a_sequence_that_could_pass_the_state_cap(monkeypatch):
+    first, second, refused = [1, 2, 3, 1, 2], [2, 3, 4], [5, 6, 7, 8]
+    fresh = GeneralizedSuffixIndex([first, second])
+    # room for first and second, and one state short of refused's bound of
+    # two states per symbol and sentinel
+    cap = fresh.stats()["nodes"] + 2 * (len(refused) + 1) - 1
+    monkeypatch.setattr(GeneralizedSuffixIndex, "_state_cap", cap)
+    idx = GeneralizedSuffixIndex([first])
+    with pytest.raises(ValueError, match=f"cap of {cap} states"):
+        idx.extend([second, refused, [9]])
+    assert _layout(idx) == _layout(fresh)
+    idx.extend([[9]])  # a sequence within the cap still extends the index
+    assert _layout(idx) == _layout(GeneralizedSuffixIndex([first, second, [9]]))
+
+
+def _phrase_corpus(rng, count=60, phrases=40, alphabet=50):
+    """Traces that chain short phrases, each followed by one of two others,
+    with a symbol now and then replaced: like system-call traces, most of
+    their automaton's states have one transition (92% here)."""
+    words = [[rng.randrange(alphabet) for _ in range(rng.randint(3, 20))] for _ in range(phrases)]
+    follows = [rng.sample(range(phrases), 2) for _ in range(phrases)]
+    corpus = []
+    for _ in range(count):
+        phrase, trace = rng.randrange(phrases), []
+        for _ in range(rng.randint(20, 120)):
+            trace += words[phrase]
+            if rng.random() < 0.1:
+                trace[rng.randrange(len(trace))] = rng.randrange(alphabet)
+            phrase = rng.choice(follows[phrase])
+        corpus.append(trace)
+    return corpus
+
+
+def test_build_peak_per_indexed_symbol():
+    # about 80 B here with 4-byte arrays and a map of branch states; 8-byte
+    # arrays and a dict slot in every state took about 106 B
+    corpus = _phrase_corpus(random.Random(0))
+    tracemalloc.start()
+    try:
+        idx = GeneralizedSuffixIndex(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / idx.stats()["indexed_symbols"] < 92
