@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .detector import ANOMALY, DetectorConfig, anomaly_score, classify, score_each
 from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, _initial_split, run_enrichment
-from .errors import ConfigurationError, TraceParseError
+from .errors import ConfigurationError
 from .evaluation import histogram, roc_curve
 from .model import NormalModel
 from .traces import Dataset, load_dataset, load_traces
@@ -30,11 +30,7 @@ def _open_out_dir(args: argparse.Namespace) -> Path:
         "tool": "seqcover",
         "version": __version__,
         "command": args.command,
-        "args": {
-            key: (str(value) if isinstance(value, Path) else value)
-            for key, value in sorted(vars(args).items())
-            if key != "func"
-        },
+        "args": {key: value for key, value in vars(args).items() if key != "func"},
     }
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return out_dir
@@ -308,7 +304,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TraceParseError, ConfigurationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # TraceParseError and ConfigurationError are ValueErrors
         if isinstance(exc, ConfigurationError):
             exc = exc.naming([_FLAG_OF_SETTING.get(field, field) for field in exc.fields])
         print(f"error: {exc}", file=sys.stderr)

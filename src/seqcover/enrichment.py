@@ -8,12 +8,13 @@ the stop rule fires, or until the validation pool is exhausted, in which
 case the trace is flagged as truncated.
 
 Each method scores through one scorer per run, built from the initial
-training set in the first iteration: SC4ID's holds a NormalModel, a
-baseline's its own copy of the training list and each query's best score
-so far. Each later iteration extends it with exactly the batch the previous
-one moved, so SC4ID's index is the one a fresh build would give, and a
-baseline scores each query only against the references added since its
-cached best. The pool is a dict keyed by source_id, in load order, and a
+training set before the loop, inside the first iteration's time: SC4ID's
+holds a NormalModel, a baseline's its own copy of the training list and
+each query's best score so far. Right after an iteration moves its batch,
+the scorer is extended with exactly that batch, inside the next
+iteration's time. So SC4ID's index is the one a fresh build would give,
+and a baseline scores each query only against the references added since
+its cached best. The pool is a dict keyed by source_id, in load order, and a
 moved sequence leaves it by ``pop``. The loop, not the scorer, checks the
 time budget's deadline before each sequence it hands over, and drops an
 iteration cut short. Only normal data enters training; attacks are scored
@@ -29,7 +30,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import takewhile
 from typing import Callable, Iterable
 
@@ -204,13 +204,6 @@ class _BaselineScorer:
         return [ScoredSequence(source_id, value, None, self.sigma.verdict(value)) for source_id, value in scored]
 
 
-def _scorer_factory(method: str) -> Callable[[DetectorConfig, list[Sequence]], _CoveringScorer | _BaselineScorer]:
-    """``(sigma, train) -> scorer`` for the method; the one reader of its name."""
-    if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
-    return _CoveringScorer if method == "SC4ID" else partial(_BaselineScorer, _BASELINE_BY_METHOD[method])
-
-
 def run_enrichment(
     dataset: Dataset,
     config: EnrichmentConfig,
@@ -225,7 +218,8 @@ def run_enrichment(
     emit per-iteration ROC and histogram files without the trace having to
     retain every score.
     """
-    new_scorer = _scorer_factory(method)
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
     train, rest = _initial_split(dataset, config)
     pool = {seq.source_id: seq for seq in rest}  # insertion order is scoring order
     total_normals = len(train) + len(pool)
@@ -233,8 +227,6 @@ def run_enrichment(
 
     records: list[EnrichmentRecord] = []
     truncated = aborted = False
-    scorer: _CoveringScorer | _BaselineScorer | None = None
-    moved: list[Sequence] = []
     budget = config.time_budget_seconds
     deadline = time.perf_counter() + (math.inf if budget is None else budget)
 
@@ -243,19 +235,14 @@ def run_enrichment(
         # sequence a later iteration scores
         return not records or time.perf_counter() <= deadline
 
+    step_started = time.perf_counter()  # the first step's time includes the build
+    if method == "SC4ID":
+        scorer = _CoveringScorer(sigma, train)
+    else:
+        scorer = _BaselineScorer(_BASELINE_BY_METHOD[method], sigma, train)
     while True:
-        if not pool:
-            truncated = True  # nothing left to score or to select from
-            break
-
         iteration, train_size = len(records), total_normals - len(pool)
         train_fraction = Fraction(train_size, total_normals)
-        step_started = time.perf_counter()
-        # one scorer per run: each step appends what the previous one moved
-        if scorer is None:
-            scorer = new_scorer(sigma, train)
-        else:
-            scorer.extend(moved)
         scored_pool = scorer.score(takewhile(in_time, pool.values()))
         scored_attacks = scorer.score(takewhile(in_time, dataset.attacks))
         if len(scored_pool) < len(pool) or len(scored_attacks) < len(dataset.attacks):
@@ -265,7 +252,7 @@ def run_enrichment(
         normal_anomaly = [anomaly_score(item.similarity) for item in scored_pool]
         attack_anomaly = [anomaly_score(item.similarity) for item in scored_attacks]
         auc_all = auc_from_scores(normal_anomaly, attack_anomaly)
-        separable = [score for item, score in zip(scored_attacks, attack_anomaly) if item.similarity != 1]
+        separable = [score for score in attack_anomaly if score != 0]  # similarity 1: an exact substring
         auc_excl = auc_from_scores(normal_anomaly, separable) if separable else None
         elapsed = time.perf_counter() - step_started
 
@@ -273,11 +260,8 @@ def run_enrichment(
             stop = iteration + 1 >= config.stop_max_iterations
         else:
             stop = train_fraction >= config.stop_train_fraction
-
-        added: tuple[str, ...] = ()
-        if not stop:
-            added = tuple(item.source_id for item in select_worst_k(scored_pool, config.batch_size))
-            moved = [pool.pop(source_id) for source_id in added]
+        added = () if stop else tuple(item.source_id for item in select_worst_k(scored_pool, config.batch_size))
+        moved = [pool.pop(source_id) for source_id in added]
 
         record = EnrichmentRecord(
             iteration=iteration, train_size=train_size, train_fraction=train_fraction,
@@ -287,5 +271,11 @@ def run_enrichment(
             on_iteration(record, scored_pool, scored_attacks)
         if stop:
             break
+        if not pool:
+            truncated = True  # nothing left to score or to select from
+            break
+        # the next step's time includes appending the batch this one moved
+        step_started = time.perf_counter()
+        scorer.extend(moved)
 
     return EnrichmentTrace(method, tuple(records), truncated, aborted)

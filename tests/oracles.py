@@ -6,6 +6,8 @@ oracle: ``dp_optimal_cover_oracle`` searches segmentations on its own, but
 asks the model's suffix index whether a segment is admissible.
 """
 
+import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -222,3 +224,84 @@ def trapezoid_auc_oracle(points):
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2
     return area
+
+
+def _naive_similarity(method, training):
+    """``s -> similarity of s to the training contents`` under one method."""
+    if method == "SC4ID":
+        # every substring of S longer than one symbol; single symbols are always admissible
+        pieces = {t[i:j] for t in training for i in range(len(t)) for j in range(i + 2, len(t) + 1)}
+
+        def covering(s):
+            if not s:
+                return Fraction(1)
+            segments, start = 0, 0
+            while start < len(s):
+                start = max([start + 1] + [end for end in range(start + 2, len(s) + 1) if s[start:end] in pieces])
+                segments += 1
+            return Fraction(len(s) - segments + 1, len(s))
+
+        return covering
+    common = {
+        "LEV": lambda a, b: max(len(a), len(b)) - lev_two_row(a, b),
+        "LCSq": lcsq_two_row,
+        "LCSt": lcst_dp,
+    }[method]
+
+    def nearest(s):
+        return max(Fraction(common(s, t), max(len(s), len(t))) if s or t else Fraction(1) for t in training)
+
+    return nearest
+
+
+def naive_enrichment(dataset, config, method):
+    """The enrichment protocol written out plainly, for one method.
+
+    Each iteration scores the whole pool and every attack against the
+    current training list from scratch, records both AUCs by pair count
+    (the second without the attacks that score exactly 1), and moves the
+    ``batch_size`` normals first in a full sort on (similarity, source_id).
+    The time budget is not modelled. Returns ``(records, truncated, scores)``:
+    one dict per iteration holding every ``EnrichmentRecord`` field but
+    ``elapsed_seconds``, whether the pool ran out before the stop rule
+    fired, and per iteration the (source_id, similarity) lists of the pool
+    and of the attacks, in scoring order.
+    """
+    if config.init_fraction is None:
+        train, pool = list(dataset.normal_train), list(dataset.normal_validation)
+    else:
+        normals = list(dataset.normal_train) + list(dataset.normal_validation)
+        n = len(normals)
+        count = min(max(math.floor(config.init_fraction * n + Fraction(1, 2)), 1), n - 1)
+        chosen = random.Random(config.rng_seed).sample(range(n), count)
+        train = [normals[i] for i in range(n) if i in chosen]
+        pool = [normals[i] for i in range(n) if i not in chosen]
+    total = len(train) + len(pool)
+    records, scores = [], []
+    while pool:
+        similarity = _naive_similarity(method, [seq.symbols for seq in train])
+        scored_pool = [(seq.source_id, similarity(seq.symbols)) for seq in pool]
+        scored_attacks = [(seq.source_id, similarity(seq.symbols)) for seq in dataset.attacks]
+        normal_anomaly = [1 - value for _, value in scored_pool]
+        separable = [1 - value for _, value in scored_attacks if value != 1]
+        train_fraction = Fraction(len(train), total)
+        if config.stop_max_iterations is not None:
+            stop = len(records) + 1 >= config.stop_max_iterations
+        else:
+            stop = train_fraction >= config.stop_train_fraction
+        worst = [] if stop else sorted(scored_pool, key=lambda pair: (pair[1], pair[0]))[:config.batch_size]
+        added = tuple(source_id for source_id, _ in worst)
+        records.append({
+            "iteration": len(records),
+            "train_size": len(train),
+            "train_fraction": train_fraction,
+            "auc": pair_count_auc(normal_anomaly, [1 - value for _, value in scored_attacks]),
+            "auc_excluding_exact_matches": pair_count_auc(normal_anomaly, separable) if separable else None,
+            "added_source_ids": added,
+        })
+        scores.append((scored_pool, scored_attacks))
+        if stop:
+            return records, False, scores
+        train += [seq for source_id in added for seq in pool if seq.source_id == source_id]
+        pool = [seq for seq in pool if seq.source_id not in added]
+    return records, True, scores

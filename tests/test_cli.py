@@ -1,10 +1,12 @@
 import argparse
+import csv
 import dataclasses
 import io
 import itertools
 import json
 import random
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,9 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import seqcover.detector
 import seqcover.model
 import seqcover.traces
-from seqcover import ConfigurationError, DetectorConfig, EnrichmentConfig, cli
+from seqcover import METHODS, ConfigurationError, DetectorConfig, EnrichmentConfig, cli
 from seqcover.cli import main
 
 
@@ -322,6 +325,66 @@ def test_manifest_reproduces_run(synthetic_corpus, tmp_path, capsys):
     for name in sorted(p.name for p in out1.glob("roc_*.csv")):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
+
+@pytest.fixture()
+def seeded_corpus(tmp_path):
+    """Random traces over four symbols, so coverings and AUCs vary by trace and method."""
+    rng = random.Random(2024)
+    dirs = []
+    for name, count in (("train", 4), ("val", 8), ("attack", 5)):
+        for i in range(count):
+            symbols = [rng.randrange(4) for _ in range(rng.randint(3, 25))]
+            _write(tmp_path / name, f"{name}{i}.txt", " ".join(map(str, symbols)))
+        dirs.append(tmp_path / name)
+    return dirs
+
+
+def test_cover_prints_each_trace_as_detect_scores_it(seeded_corpus, capsys):
+    train, val, attack = seeded_corpus
+    keys = ("source_id", "segments", "covering_size", "similarity")
+    for traces in (val, attack):
+        assert main(["detect", "--model-dir", str(train), "--traces", str(traces)]) == 0
+        detected = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(detected) == len(list(traces.iterdir()))
+        for record in detected:
+            assert main(["cover", "--model-dir", str(train), "--trace", record["source_id"]]) == 0
+            covered = json.loads(capsys.readouterr().out)
+            assert [covered[key] for key in keys] == [record[key] for key in keys]
+
+
+def test_compare_gives_each_method_the_column_it_gets_alone(seeded_corpus, tmp_path, capsys):
+    train, val, attack = seeded_corpus
+    common = ["--train-dir", str(train), "--validation-dir", str(val), "--attack-dir", str(attack),
+              "--batch-size", "2", "--stop-iterations", "4", "--seed", "3"]
+
+    def columns(methods):
+        out = tmp_path / methods.replace(",", "-")
+        assert main(["compare", *common, "--methods", methods, "--out-dir", str(out)]) == 0
+        with (out / "compare.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        return {key: [row[key] for row in rows] for key in rows[0]}
+
+    together = columns("SC4ID,LEV,LCSq,LCSt")
+    assert len({tuple(together[f"auc_{method}"]) for method in METHODS}) > 1  # the methods disagree somewhere
+    for method in METHODS:
+        alone = columns(method)
+        for key in ("iteration", "train_size", f"auc_{method}"):
+            assert together[key] == alone[key]
+
+
+def test_detect_frees_each_trace_once_it_is_scored(worked_example, monkeypatch, capsys):
+    model, traces = worked_example
+    classify = seqcover.detector.classify
+    scored = []
+
+    def classify_after_the_last_is_freed(model, config, trace):
+        assert [ref() for ref in scored] == [None] * len(scored)
+        scored.append(weakref.ref(trace))
+        return classify(model, config, trace)
+
+    monkeypatch.setattr(seqcover.detector, "classify", classify_after_the_last_is_freed)
+    assert main(["detect", "--model-dir", str(model), "--traces", str(traces)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(scored) == 2
 
 
 # Refusals: what each command refuses, and what it must not have done by then.

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import naive_enrichment
 
 from seqcover import (
     METHODS,
@@ -16,6 +17,8 @@ from seqcover import (
     Dataset,
     DetectorConfig,
     EnrichmentConfig,
+    EnrichmentRecord,
+    EnrichmentTrace,
     NormalModel,
     ScoredSequence,
     Sequence,
@@ -475,3 +478,67 @@ def test_enrichment_ignores_the_order_of_each_split(method, batch_size, train, v
     config = EnrichmentConfig(batch_size=batch_size, stop_train_fraction=1)  # until the pool is empty
     expected = _without_elapsed(run_enrichment(Dataset(*splits), config, method=method))
     assert _without_elapsed(run_enrichment(Dataset(*permuted), config, method=method)) == expected
+
+
+@st.composite
+def _protocol_runs(draw):
+    """A small dataset, a config and a method for one enrichment run.
+
+    Three symbols and lengths from 0 to 30, so scores tie and the source_id
+    tie-break decides the cut; normals may repeat a content, and attacks may
+    repeat one another or be verbatim slices of a normal. Source_ids are
+    dealt in shuffled order, so their order is not load order.
+    """
+    symbol = st.integers(0, 2)
+    content = (st.lists(symbol, max_size=4)
+               | st.integers(0, 30).flatmap(lambda n: st.lists(symbol, min_size=n, max_size=n))).map(tuple)
+
+    def contents(count, slices):
+        drawn = []
+        for _ in range(count):
+            kind = draw(st.sampled_from(["fresh"] + ["repeat"] * bool(drawn) + ["slice"] * bool(slices)))
+            if kind == "fresh":
+                drawn.append(draw(content))
+            elif kind == "repeat":
+                drawn.append(draw(st.sampled_from(drawn)))
+            else:
+                whole = draw(st.sampled_from(slices))
+                start = draw(st.integers(0, len(whole)))
+                drawn.append(whole[start:draw(st.integers(start, len(whole)))])
+        return drawn
+
+    normals = contents(draw(st.integers(2, 8)), ())
+    attacks = contents(draw(st.integers(1, 5)), normals)
+    ids = draw(st.permutations([f"n{i}" for i in range(len(normals))]))
+    init_fraction = draw(st.none() | st.integers(1, 19).map(lambda k: Fraction(k, 20)))
+    # a fixed init takes the first `cut` normals as training and needs a pool;
+    # a random one pools both splits, so its validation split may be empty
+    cut = draw(st.integers(1, len(normals) - (init_fraction is None)))
+    labelled = [Sequence(symbols, source_id) for symbols, source_id in zip(normals, ids)]
+    dataset = Dataset(labelled[:cut], labelled[cut:],
+                      [Sequence(symbols, f"a{j}") for j, symbols in enumerate(attacks)])
+    stop_iterations = draw(st.none() | st.integers(1, len(normals) + 1))
+    stop_fraction = None if stop_iterations else draw(st.none() | st.integers(1, 8).map(lambda k: Fraction(k, 8)))
+    batch_size = draw(st.integers(1, 2) | st.integers(1, len(normals) - 1))
+    config = EnrichmentConfig(init_fraction=init_fraction, batch_size=batch_size,
+                              stop_train_fraction=stop_fraction, stop_max_iterations=stop_iterations,
+                              rng_seed=draw(st.integers(0, 2**16)))
+    return dataset, config, draw(st.sampled_from(METHODS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_protocol_runs())
+def test_enrichment_equals_the_naive_protocol(run):
+    dataset, config, method = run
+    scores = []
+
+    def keep(record, scored_pool, scored_attacks):
+        scores.append(tuple([(item.source_id, item.similarity) for item in scored]
+                            for scored in (scored_pool, scored_attacks)))
+
+    trace = run_enrichment(dataset, config, method=method, on_iteration=keep)
+    records, truncated, expected_scores = naive_enrichment(dataset, config, method)
+    expected = EnrichmentTrace(
+        method, tuple(EnrichmentRecord(**record, elapsed_seconds=0.0) for record in records), truncated)
+    assert _without_elapsed(trace) == expected
+    assert scores == expected_scores
