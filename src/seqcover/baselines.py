@@ -2,9 +2,9 @@
 
 Levenshtein (LEV), longest common subsequence (LCSq, gaps allowed) and
 longest common substring (LCSt, contiguous), each normalized into [0, 1]
-by the longer length: 1 - LEV(a, b) / max(|a|, |b|), and LCSq(a, b) or
-LCSt(a, b) over max(|a|, |b|). Two empty sequences score 1. Against a set
-of normal sequences the score is the similarity to the nearest member.
+by the longer length M = max(|a|, |b|): LCSq(a, b), LCSt(a, b) or
+M - LEV(a, b), over M. Two empty sequences score 1. Against a set of
+normal sequences the score is the similarity to the nearest member.
 
 Each kernel prepares one side, ``a`` (n symbols), once and then reads the
 other side, ``b`` (m symbols), symbol by symbol:
@@ -116,19 +116,16 @@ def _similarity_to(kind: BaselineKind, query) -> Callable[..., Fraction]:
     if kind is BaselineKind.LEV:
         distance = _levenshtein_to(a)
 
-        def value(b):
-            return 1 - Fraction(distance(b), max(n, len(b)))
+        def common(b):  # 1 - d/M = (M - d)/M
+            return max(n, len(b)) - distance(b)
     elif kind is BaselineKind.LCSQ or kind is BaselineKind.LCST:
         common = (_lcsq_to if kind is BaselineKind.LCSQ else _lcst_to)(a)
-
-        def value(b):
-            return Fraction(common(b), max(n, len(b)))
     else:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
 
     def similarity(reference) -> Fraction:
         b = as_symbols(reference)
-        return value(b) if n or b else Fraction(1)
+        return Fraction(common(b), max(n, len(b))) if n or b else Fraction(1)
 
     return similarity
 

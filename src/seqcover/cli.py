@@ -19,6 +19,7 @@ from .enrichment import METHODS, EnrichmentConfig, EnrichmentTrace, _initial_spl
 from .errors import ConfigurationError
 from .evaluation import histogram, roc_curve
 from .model import NormalModel
+from .suffix_tree import GeneralizedSuffixIndex
 from .traces import Dataset, load_dataset, load_traces
 
 
@@ -47,7 +48,7 @@ def _fmt(value: Fraction | float | None) -> str:
     return "" if value is None else f"{float(value):.6f}"
 
 
-def _model_and_out_dir(args) -> tuple[NormalModel, Path | None]:
+def _model_and_out_dir(args) -> tuple[GeneralizedSuffixIndex, Path | None]:
     """Read and check ``--model-dir``, open ``--out-dir`` if given, then build the index."""
     sequences = load_traces(args.model_dir, args.one_trace_per)
     if not sequences:
@@ -56,7 +57,7 @@ def _model_and_out_dir(args) -> tuple[NormalModel, Path | None]:
     return NormalModel(sequences), out_dir
 
 
-def _cover_record(model: NormalModel, trace) -> dict:
+def _cover_record(model: GeneralizedSuffixIndex, trace) -> dict:
     record = {**classify(model, DetectorConfig(), trace).as_record(), "length": len(trace)}
     keys = ("source_id", "length", "covering_size", "segments", "similarity", "similarity_decimal")
     return {key: record[key] for key in keys}  # the verdict is not reported

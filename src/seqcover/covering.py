@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import NormalModel
+from .suffix_tree import GeneralizedSuffixIndex
 from .traces import as_symbols
 
 
@@ -51,7 +52,7 @@ class Covering:
         return Fraction(n - self.size + 1, n)
 
 
-def greedy_cover(model: NormalModel, s) -> Covering:
+def greedy_cover(model: GeneralizedSuffixIndex, s) -> Covering:
     """Left-to-right greedy covering, each segment maximally extended.
 
     One suffix-automaton walk per segment: the walk consumes each symbol of s
@@ -60,11 +61,10 @@ def greedy_cover(model: NormalModel, s) -> Covering:
     """
     symbols = as_symbols(s)
     n = len(symbols)
-    index = model.index
     segments = []
     start = 0
     while start < n:
-        length = index.longest_match_from(symbols, start)
+        length = model.longest_match_from(symbols, start)
         segments.append((start, start + length))
         start += length
     return Covering(tuple(segments), n)
@@ -74,7 +74,7 @@ def greedy_cover(model: NormalModel, s) -> Covering:
 greedy_cover_linear = greedy_cover
 
 
-def greedy_cover_binary(model: NormalModel, s) -> Covering:
+def greedy_cover_binary(model: GeneralizedSuffixIndex, s) -> Covering:
     """Greedy covering with each break located by binary search.
 
     Returns exactly the same segments as ``greedy_cover``. The break after
@@ -84,14 +84,13 @@ def greedy_cover_binary(model: NormalModel, s) -> Covering:
     """
     symbols = as_symbols(s)
     n = len(symbols)
-    index = model.index
     segments = []
     start = 0
     while start < n:
         lo, hi = start + 1, n
         while lo < hi:
             mid = (lo + hi + 1) // 2  # mid - start >= 2: never the single-symbol case
-            if index.contains_range(symbols, start, mid):
+            if model.contains_range(symbols, start, mid):
                 lo = mid
             else:
                 hi = mid - 1
@@ -100,7 +99,7 @@ def greedy_cover_binary(model: NormalModel, s) -> Covering:
     return Covering(tuple(segments), n)
 
 
-def covering_similarity(model: NormalModel, s) -> Fraction:
+def covering_similarity(model: GeneralizedSuffixIndex, s) -> Fraction:
     """Similarity of s to the model's sequence set: ``Covering.similarity``
     of its greedy covering, 1 for the empty sequence.
 

@@ -6,7 +6,7 @@ from typing import Iterator
 
 from .covering import Covering, greedy_cover, ratio_str
 from .errors import ConfigurationError
-from .model import NormalModel
+from .suffix_tree import GeneralizedSuffixIndex
 from .traces import Sequence
 
 NORMAL = "normal"
@@ -77,7 +77,7 @@ def anomaly_score(similarity: Fraction) -> Fraction:
     return 1 - similarity
 
 
-def classify(model: NormalModel, config: DetectorConfig, s: Sequence) -> ScoredSequence:
+def classify(model: GeneralizedSuffixIndex, config: DetectorConfig, s: Sequence) -> ScoredSequence:
     """Cover s against the model, score it, and apply the threshold.
 
     The empty sequence scores 1 by convention (it is a substring of
@@ -89,12 +89,12 @@ def classify(model: NormalModel, config: DetectorConfig, s: Sequence) -> ScoredS
     return ScoredSequence(source_id, similarity, cover, config.verdict(similarity))
 
 
-def score_batch(model: NormalModel, config: DetectorConfig, batch) -> list[ScoredSequence]:
+def score_batch(model: GeneralizedSuffixIndex, config: DetectorConfig, batch) -> list[ScoredSequence]:
     """Element-wise classify, input order preserved."""
     return [classify(model, config, s) for s in batch]
 
 
-def score_each(model: NormalModel, config: DetectorConfig, batch: list) -> Iterator[ScoredSequence]:
+def score_each(model: GeneralizedSuffixIndex, config: DetectorConfig, batch: list) -> Iterator[ScoredSequence]:
     """Classify the traces of batch in order, taking each out of the list as
     it is scored: the list ends empty, and a trace held nowhere else is freed
     once its score is handed over."""

@@ -9,16 +9,16 @@ case the trace is flagged as truncated.
 
 Each method scores through one scorer per run, built from the initial
 training set before the loop, inside the first iteration's time: SC4ID's
-holds a NormalModel, a baseline's its own copy of the training list and
-each query's best score so far. Right after an iteration moves its batch,
-the scorer is extended with exactly that batch, inside the next
-iteration's time. So SC4ID's index is the one a fresh build would give,
-and a baseline scores each query only against the references added since
-its cached best. The pool is a dict keyed by source_id, in load order, and a
-moved sequence leaves it by ``pop``. The loop, not the scorer, checks the
-time budget's deadline before each sequence it hands over, and drops an
-iteration cut short. Only normal data enters training; attacks are scored
-but never selected. The AUC is recorded twice: over all attacks, and
+holds the suffix index NormalModel builds, a baseline's its own copy of the
+training list and each query's best score so far. Right after an iteration
+moves its batch, the scorer is extended with exactly that batch, inside the
+next iteration's time. So SC4ID's index is the one a fresh build would
+give, and a baseline scores each query only against the references added
+since its cached best. The pool is a dict keyed by source_id, in load
+order, and a moved sequence leaves it by ``pop``. The loop, not the scorer,
+checks the time budget's deadline before each sequence it hands over, and
+drops an iteration cut short. Only normal data enters training; attacks are
+scored but never selected. The AUC is recorded twice: over all attacks, and
 excluding attacks whose similarity is exactly 1 at that iteration (verbatim
 substrings of the training data, which no history-based score can
 separate).
@@ -162,7 +162,7 @@ def _initial_split(dataset: Dataset, config: EnrichmentConfig) -> tuple[list[Seq
 
 
 class _CoveringScorer:
-    """SC4ID: the covering similarity against one NormalModel per run."""
+    """SC4ID: the covering similarity against one suffix index per run."""
 
     def __init__(self, sigma: DetectorConfig, train: list[Sequence]):
         self.sigma, self.model = sigma, NormalModel(train)

@@ -4,10 +4,12 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import random
 import tempfile
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -370,6 +372,46 @@ def test_compare_gives_each_method_the_column_it_gets_alone(seeded_corpus, tmp_p
         alone = columns(method)
         for key in ("iteration", "train_size", f"auc_{method}"):
             assert together[key] == alone[key]
+
+
+def test_detect_gives_the_histogram_and_roc_of_enrich_iteration_0(seeded_corpus, tmp_path, capsys):
+    train, val, attack = seeded_corpus
+    # load_dataset drops duplicate contents and detect does not, so the two agree only without them
+    contents = [path.read_text() for split in seeded_corpus for path in split.iterdir()]
+    assert len(set(contents)) == len(contents)
+    bins = 7
+    out = tmp_path / "enrich"
+    assert main(["enrich", "--train-dir", str(train), "--validation-dir", str(val),
+                 "--attack-dir", str(attack), "--stop-iterations", "1", "--bins", str(bins),
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+
+    def similarities(traces):
+        assert main(["detect", "--model-dir", str(train), "--traces", str(traces)]) == 0
+        return [Fraction(json.loads(line)["similarity"]) for line in capsys.readouterr().out.splitlines()]
+
+    normal, attacks = similarities(val), similarities(attack)
+
+    def bin_counts(values):
+        counts = [0] * bins
+        for value in values:
+            counts[min(math.floor(value * bins), bins - 1)] += 1
+        return counts
+
+    with (out / "hist_0000.csv").open(newline="") as handle:
+        hist = [(int(row["normal_count"]), int(row["attack_count"])) for row in csv.DictReader(handle)]
+    assert hist == list(zip(bin_counts(normal), bin_counts(attacks)))
+
+    def rate(values, threshold):
+        return sum(value <= threshold for value in values) / len(values)
+
+    # one point per distinct anomaly score 1 - similarity, swept from most to least anomalous
+    expected = [(0.0, 0.0)] + [(rate(normal, t), rate(attacks, t)) for t in sorted(set(normal + attacks))]
+    with (out / "roc_0000.csv").open(newline="") as handle:
+        roc = [(float(row["false_positive_rate"]), float(row["true_positive_rate"]))
+               for row in csv.DictReader(handle)]
+    assert len(roc) > 3
+    assert roc == [pytest.approx(point, rel=1e-9) for point in expected]
 
 
 def test_detect_frees_each_trace_once_it_is_scored(worked_example, monkeypatch, capsys):
